@@ -8,24 +8,26 @@
     the generated contracts of every NF with per-path feasibility.
 
 ``python -m repro.cli bench``
-    Closes the evaluation loop (§5 of the paper): replays uniform, Zipf
-    and adversarial workloads through every NF in :data:`NF_MATRIX`
-    (bridge, router, NAT, LB), derives cycle predictions under the
-    conservative, realistic and cache-simulated hardware models, asserts
-    **measured ≤ predicted on every packet** (counts and cycles) *and*
-    that every class's measured p50/p95/p99 cycle tails stay under their
-    predicted envelopes, checks that the adversarial streams actually
-    drive every instance-qualified PCV to its declared bound, and writes
-    the whole record to a ``BENCH_*.json`` CI archives as an artifact.
+    Closes the evaluation loop (§5 of the paper): for every NF in
+    :data:`NF_MATRIX`, replays its registered workloads (uniform, Zipf,
+    adversarial, scan sweep, header flood), derives cycle predictions
+    under the conservative, realistic and cache-simulated hardware
+    models, asserts **measured ≤ predicted on every packet** (counts and
+    cycles) *and* that every class's measured p50/p95/p99 cycle tails
+    stay under their predicted envelopes, checks that the adversarial
+    streams actually drive every instance-qualified PCV to its declared
+    bound, and writes the whole record to a ``BENCH_*.json`` CI archives
+    as an artifact.
     ``--models`` restricts the cycle pricing to named hardware models.
 
-    The bench is throughput-grade: each (NF, workload) cell is an
-    independent job whose stimuli are derived from a per-cell seed, so
-    the matrix fans out across a ``--workers``-sized process pool (default:
-    all CPUs) and the report is bit-identical for every worker count.
-    Cells record their wall clock and replay rate; ``--profile`` runs one
-    cell under cProfile instead of the full matrix.  Alongside the per-NF
-    cells the bench replays every registered *service graph*
+    The bench is throughput-grade: each row (an NF or a service graph) is
+    one independent job that generates the row's contract once and builds
+    each workload only when it replays it, from a per-cell seed, so the
+    rows fan out across a ``--workers``-sized process pool (default: all
+    CPUs) and the report is bit-identical for every worker count.  Cells
+    record their wall clock and replay rate; ``--profile`` runs one row
+    under cProfile instead of the full matrix.  Alongside the per-NF rows
+    the bench replays every registered *service graph*
     (:data:`GRAPH_MATRIX`) end to end — per-hop and composed-route checks,
     with mid-stream churn — into ``report["graphs"]``; ``--nf`` / ``--graph``
     restrict the matrix to named rows and write a partial report.
@@ -51,7 +53,7 @@
 
 ``python -m repro.cli ct-audit``
     The constant-time audit: for every NF's declared secret-dependent
-    class sets (:data:`repro.audit.SECRET_CLASS_SETS`), proves
+    class sets (its ``SPEC.secret_sets``), proves
     cycle-indistinguishability under every hardware model (polynomial
     identity) or reports the leaking class pair with its symbolic cycle
     delta and a concrete witness.  Proven-constant-time pairs whose
@@ -63,9 +65,12 @@
 
 The smoke structures (:func:`smoke_structures`), the NF matrix
 (:data:`NF_MATRIX`) and the graph matrix (:data:`GRAPH_MATRIX`) are
-module-level registries: adding a structure, an NF or a graph means
-appending one entry, and ``tools/check_docs.py`` walks the same
-registries to keep the documentation in sync with what actually runs.
+module-level registries.  Each NF registers itself once, as the ``SPEC``
+its own module exports (geometry, contract generators, harness,
+workloads, expected classes, secret class sets); :mod:`repro.registry`
+lists the specs, so adding an NF or a graph means appending one entry
+there, and ``tools/check_docs.py`` walks the same registries to keep the
+documentation in sync with what actually runs.
 
 Both commands print section by section as output is produced, so even a
 crash mid-run leaves the already-validated tables in the job log, and exit
@@ -82,12 +87,13 @@ import os
 import sys
 import time
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import repro.structures as structures_pkg
-from repro.audit import SECRET_CLASS_SETS, audit_contract
+from repro.audit import audit_contract
 from repro.core import Distiller, diff_contracts, dump_contract, load_contract
 from repro.core.contract import TAIL_METRICS, PerformanceContract
 from repro.core.perfexpr import PerfExpr
@@ -98,28 +104,9 @@ from repro.hw import (
     SimulatedModel,
     model_to_json,
 )
-from repro.nf.bridge import generate_bridge_contract
-from repro.nf.firewall import generate_firewall_contract
-from repro.nf.lb import generate_lb_contract
-from repro.nf.monitor import generate_monitor_contract
-from repro.nf.nat import generate_nat_contract
-from repro.nf.router import generate_router_contract
 from repro.net.replay import GraphReplayer
-from repro.net.workloads import (
-    GraphWorkload,
-    lb_nat_fw_router_workloads,
-    lb_nat_router_workloads,
-)
-from repro.nf.workloads import (
-    Workload,
-    bridge_workloads,
-    firewall_workloads,
-    lb_workloads,
-    monitor_workloads,
-    nat_workloads,
-    router_workloads,
-    worst_case_report,
-)
+from repro.nf.workloads import NFSpec, worst_case_report
+from repro.registry import GRAPH_MATRIX, NF_MATRIX
 from repro.structures import (
     ChainingHashMap,
     CountMinSketch,
@@ -135,48 +122,7 @@ from repro.sym.solver import Solver
 from repro.traffic import Replayer
 from repro.traffic.replayer import TAIL_PERCENTILES
 
-#: Input classes each NF contract must keep covering.
-EXPECTED_BRIDGE_CLASSES = frozenset({"short", "miss", "hairpin", "hit"})
-EXPECTED_ROUTER_CLASSES = frozenset({"short", "non_ip", "ttl_expired", "no_route", "routed"})
-EXPECTED_NAT_CLASSES = frozenset(
-    {
-        "short",
-        "non_ip",
-        "internal_new",
-        "internal_existing",
-        "no_ports",
-        "external_hit",
-        "external_miss",
-    }
-)
-EXPECTED_LB_CLASSES = frozenset(
-    {
-        "short",
-        "non_ip",
-        "reconfig",
-        "new_flow",
-        "existing_flow",
-        "backend_drained",
-        "no_backends",
-    }
-)
-EXPECTED_FIREWALL_CLASSES = frozenset(
-    {
-        "short",
-        "non_ip",
-        "denied",
-        "outbound_established",
-        "outbound_new",
-        "conn_full",
-        "inbound_established",
-        "unsolicited",
-    }
-)
-EXPECTED_MONITOR_CLASSES = frozenset({"short", "non_ip", "cold_flow", "hot_flow"})
-
-#: Bench defaults: table geometries and per-workload packet budget.
-BENCH_CAPACITY = 16
-BENCH_TIMEOUT = 50
+#: Bench defaults: per-workload packet budget, seed and report path.
 BENCH_PACKETS = 10_000
 BENCH_SEED = 2019
 BENCH_OUTPUT = "BENCH_eval.json"
@@ -186,9 +132,6 @@ TAIL_CALIBRATION_PACKETS = 400
 #: Default stream length for the standalone ``graph`` subcommand (the
 #: bench replays graphs at the full ``--packets`` budget).
 GRAPH_PACKETS = 1_000
-#: LB-specific geometry: Maglev slots (prime) and the backend ceiling.
-LB_TABLE_SIZE = 13
-LB_MAX_BACKENDS = 4
 #: Where the golden contract snapshots live (``contract-diff`` default).
 GOLDEN_DIR = os.path.join("tests", "golden")
 
@@ -212,130 +155,6 @@ SUBCOMMANDS: Tuple[Tuple[str, str], ...] = (
         "ct-audit",
         "0 = every verdict matches its declared expectation; "
         "1 = unexpected leak/proof (or any leak with --strict); 2 = unknown NF",
-    ),
-)
-
-
-@dataclass(frozen=True)
-class NFSpec:
-    """One NF's registration with the smoke and bench pipelines.
-
-    Attributes:
-        name: short NF name (bench report key, workload harness name).
-        title: section title printed by the smoke/bench runs.
-        smoke_contract: contract generator at default geometry (smoke).
-        bench_contract: contract generator at bench geometry.
-        bench_workloads: ``(seed, packets) -> [Workload]`` factory whose
-            streams must jointly cover ``expected_classes``.
-        expected_classes: input classes the contract and the replayed
-            workloads must keep covering.
-    """
-
-    name: str
-    title: str
-    smoke_contract: Callable[[], PerformanceContract]
-    bench_contract: Callable[[], PerformanceContract]
-    bench_workloads: Callable[[int, int], List[Workload]]
-    expected_classes: FrozenSet[str]
-
-
-NF_MATRIX: Tuple[NFSpec, ...] = (
-    NFSpec(
-        "bridge",
-        "NF: MAC learning bridge",
-        generate_bridge_contract,
-        lambda: generate_bridge_contract(BENCH_CAPACITY, BENCH_TIMEOUT),
-        lambda seed, packets: bridge_workloads(
-            seed=seed, capacity=BENCH_CAPACITY, timeout=BENCH_TIMEOUT, packets=packets
-        ),
-        EXPECTED_BRIDGE_CLASSES,
-    ),
-    NFSpec(
-        "router",
-        "NF: static LPM router",
-        generate_router_contract,
-        generate_router_contract,
-        lambda seed, packets: router_workloads(seed=seed, packets=packets),
-        EXPECTED_ROUTER_CLASSES,
-    ),
-    NFSpec(
-        "nat",
-        "NF: VigNAT-style NAT",
-        generate_nat_contract,
-        lambda: generate_nat_contract(BENCH_CAPACITY, BENCH_TIMEOUT),
-        lambda seed, packets: nat_workloads(
-            seed=seed, capacity=BENCH_CAPACITY, timeout=BENCH_TIMEOUT, packets=packets
-        ),
-        EXPECTED_NAT_CLASSES,
-    ),
-    NFSpec(
-        "lb",
-        "NF: Maglev-style load balancer",
-        generate_lb_contract,
-        lambda: generate_lb_contract(
-            BENCH_CAPACITY,
-            BENCH_TIMEOUT,
-            table_size=LB_TABLE_SIZE,
-            max_backends=LB_MAX_BACKENDS,
-        ),
-        lambda seed, packets: lb_workloads(
-            seed=seed,
-            capacity=BENCH_CAPACITY,
-            timeout=BENCH_TIMEOUT,
-            packets=packets,
-            table_size=LB_TABLE_SIZE,
-            max_backends=LB_MAX_BACKENDS,
-        ),
-        EXPECTED_LB_CLASSES,
-    ),
-    NFSpec(
-        "firewall",
-        "NF: connection-tracking firewall",
-        generate_firewall_contract,
-        lambda: generate_firewall_contract(BENCH_CAPACITY, BENCH_TIMEOUT),
-        lambda seed, packets: firewall_workloads(
-            seed=seed, capacity=BENCH_CAPACITY, timeout=BENCH_TIMEOUT, packets=packets
-        ),
-        EXPECTED_FIREWALL_CLASSES,
-    ),
-    NFSpec(
-        "monitor",
-        "NF: heavy-hitter monitor",
-        generate_monitor_contract,
-        generate_monitor_contract,
-        lambda seed, packets: monitor_workloads(seed=seed, packets=packets),
-        EXPECTED_MONITOR_CLASSES,
-    ),
-)
-
-
-@dataclass(frozen=True)
-class GraphSpec:
-    """One service graph's registration with the bench pipeline.
-
-    Attributes:
-        name: graph name (bench report key, ``--graph`` filter value).
-        title: section title printed by the bench / graph runs.
-        bench_workloads: ``(seed, packets) -> [GraphWorkload]`` factory;
-            each workload carries a fresh graph, its stream and its churn
-            schedule (see :mod:`repro.net.workloads`).
-    """
-
-    name: str
-    title: str
-    bench_workloads: Callable[[int, int], List[GraphWorkload]]
-
-
-GRAPH_MATRIX: Tuple[GraphSpec, ...] = (
-    GraphSpec(
-        "lb_nat_router",
-        "graph: LB -> NAT -> router ingress pipeline",
-        lb_nat_router_workloads,
-    ),
-    GraphSpec(
-        "lb_nat_fw_router",
-        "graph: LB -> NAT -> firewall -> router egress pipeline",
-        lb_nat_fw_router_workloads,
     ),
 )
 
@@ -418,8 +237,7 @@ def run_nf_contracts(specs: Optional[Sequence[NFSpec]] = None) -> int:
     totals = Solver.TOTALS
     print(
         "\nsolver cache across contract generation: "
-        f"{totals.cache_hits - before.cache_hits} hits "
-        f"({totals.prefix_pruned - before.prefix_pruned} prefix-pruned), "
+        f"{totals.cache_hits - before.cache_hits} hits, "
         f"{totals.cache_misses - before.cache_misses} misses, "
         f"{totals.dedup_dropped - before.dedup_dropped} duplicates dropped, "
         f"{totals.simplify_reused - before.simplify_reused} simplifications reused"
@@ -453,155 +271,166 @@ def _bench_models(names: Optional[Sequence[str]] = None) -> List[CycleModel]:
     return [model for model in models if model.name in selected]
 
 
-def _cell_seed(seed: int, nf_name: str, workload_name: str) -> int:
+def _cell_seed(seed: int, row_name: str, workload_name: str) -> int:
     """Derive one bench cell's workload seed.
 
     A cell's stimuli depend only on the bench seed and the cell's own
     identity — never on which worker ran it or in what order — so the
     report is bit-identical for every ``--workers`` value.
     """
-    return zlib.crc32(f"{seed}:{nf_name}:{workload_name}".encode()) & 0x7FFFFFFF
+    return zlib.crc32(f"{seed}:{row_name}:{workload_name}".encode()) & 0x7FFFFFFF
 
 
-#: One bench cell's shipping form: ``(kind, name, workload, seed, packets,
-#: model_names)`` where ``kind`` is ``"nf"`` or ``"graph"``.  Specs hold
-#: closures and models hold cache state, so the pool ships plain tuples
-#: and each worker rebuilds the spec by name and its models fresh.
-BenchTask = Tuple[str, str, str, int, int, Tuple[str, ...]]
-
-
-def _bench_cell(task: BenchTask) -> Dict[str, object]:
-    """Run one bench cell (either kind); return a picklable summary.
-
-    Runs in a pool worker: everything destined for the terminal comes
-    back as ``text`` so the parent prints cells in matrix order
-    regardless of completion order.
-    """
-    if task[0] == "graph":
-        return _graph_cell(task)
-    return _nf_cell(task)
-
-
-def _nf_cell(task: BenchTask) -> Dict[str, object]:
-    """Run one (NF, workload) bench cell."""
-    _, nf_name, workload_name, seed, packets, model_names = task
-    spec = next(spec for spec in NF_MATRIX if spec.name == nf_name)
-    contract = spec.bench_contract()
-    workloads = spec.bench_workloads(_cell_seed(seed, nf_name, workload_name), packets)
-    workload = next(workload for workload in workloads if workload.name == workload_name)
-    started = time.perf_counter()
-    result = Replayer(workload.harness, contract, models=_bench_models(model_names)).replay(
-        workload.stimuli, workload=workload.name
-    )
-    wall = max(time.perf_counter() - started, 1e-9)
-    failures = len(result.violations)
+def _replay_lines(result, wall: float, hops: str = "") -> List[str]:
+    """The terminal lines of one replayed cell: table, rate, violations."""
     lines = [
         "",
         result.table(),
-        f"  throughput: {result.packets} packets in {wall:.3f}s "
+        f"  throughput: {result.packets} packets{hops} in {wall:.3f}s "
         f"({result.packets / wall:,.0f} pkt/s)",
     ]
-    for message in result.violations[:10]:
-        lines.append(f"FAIL: {message}")
+    return lines + [f"FAIL: {message}" for message in result.violations[:10]]
+
+
+def _timed_payload(result, wall: float) -> Dict[str, object]:
     payload = result.to_json()
-    if workload.expected_worst:
-        worst = worst_case_report(result.max_pcvs, workload.expected_worst)
-        payload["worst_case"] = worst
-        for pcv, check in worst.items():
-            status = "hit" if check["hit"] else "MISSED"
-            lines.append(
-                f"  adversarial worst case for {pcv}: observed "
-                f"{check['observed']} / bound {check['bound']} -> {status}"
-            )
-            if not check["hit"]:
-                failures += 1
     payload["wall_clock_s"] = round(wall, 6)
     payload["packets_per_sec"] = round(result.packets / wall, 3)
-    return {
-        "workload": workload_name,
-        "payload": payload,
-        "text": "\n".join(lines),
-        "classes": sorted(name for name in result.classes_seen() if name != "<unclassified>"),
+    return payload
+
+
+def _nf_row(name: str, seed: int, packets: int, model_names: Tuple[str, ...]) -> Dict[str, object]:
+    """Run one NF's bench row; return its report record and terminal text.
+
+    The row generates its contract once and builds each workload only
+    when it replays it.  Runs in a pool worker: everything destined for
+    the terminal comes back as ``text`` so the parent prints rows in
+    matrix order regardless of completion order.
+    """
+    spec = next(spec for spec in NF_MATRIX if spec.name == name)
+    contract = spec.bench_contract()
+    workloads: Dict[str, object] = {}
+    lines: List[str] = []
+    classes_seen: Set[str] = set()
+    failures = 0
+    total = 0
+    for workload_name, build in spec.workloads.items():
+        workload = build(_cell_seed(seed, name, workload_name), packets)
+        started = time.perf_counter()
+        result = Replayer(workload.harness, contract, models=_bench_models(model_names)).replay(
+            workload.stimuli, workload=workload.name
+        )
+        wall = max(time.perf_counter() - started, 1e-9)
+        failures += len(result.violations)
+        lines += _replay_lines(result, wall)
+        payload = _timed_payload(result, wall)
+        if workload.expected_worst:
+            worst = worst_case_report(result.max_pcvs, workload.expected_worst)
+            payload["worst_case"] = worst
+            for pcv, check in worst.items():
+                status = "hit" if check["hit"] else "MISSED"
+                lines.append(
+                    f"  adversarial worst case for {pcv}: observed "
+                    f"{check['observed']} / bound {check['bound']} -> {status}"
+                )
+                if not check["hit"]:
+                    failures += 1
+        workloads[workload_name] = payload
+        classes_seen.update(cls for cls in result.classes_seen() if cls != "<unclassified>")
+        total += result.packets
+    missing = spec.expected_classes - classes_seen
+    if missing:
+        failures += 1
+        lines.append(f"FAIL: {name} workloads never exercised classes {sorted(missing)}")
+    # Show what the hardware models make of the contract, distilled.
+    structures = tuple(spec.harness().structures)
+    for model in _bench_models(model_names):
+        lines += ["", Distiller(contract).distill_cycles(model, structures=structures).render()]
+    record = {
+        "contract_classes": contract.class_names(),
+        "workloads": workloads,
+        "classes_seen": sorted(classes_seen),
         "failures": failures,
-        "packets": result.packets,
-        "wall_clock_s": wall,
     }
+    return {"record": record, "text": "\n".join(lines), "failures": failures, "packets": total}
 
 
-def _graph_cell(task: BenchTask) -> Dict[str, object]:
-    """Run one (graph, workload) bench cell: end-to-end replay with churn.
+def _graph_row(
+    name: str, seed: int, packets: int, model_names: Tuple[str, ...]
+) -> Dict[str, object]:
+    """Run one service graph's bench row: end-to-end replay with churn.
 
     Violations at *either* level — a hop exceeding its own contract, or a
     journey exceeding the composed route bound — and missing per-hop
     class coverage all count as failures.
     """
-    _, graph_name, workload_name, seed, packets, model_names = task
-    spec = next(spec for spec in GRAPH_MATRIX if spec.name == graph_name)
-    workloads = spec.bench_workloads(_cell_seed(seed, graph_name, workload_name), packets)
-    workload = next(workload for workload in workloads if workload.name == workload_name)
-    started = time.perf_counter()
-    replayer = GraphReplayer(workload.graph, models=_bench_models(model_names))
-    result = replayer.replay(
-        workload.stream, schedule=workload.schedule, workload=workload.name
-    )
-    wall = max(time.perf_counter() - started, 1e-9)
-    failures = len(result.violations)
-    lines = [
-        "",
-        result.table(),
-        f"  throughput: {result.packets} packets ({result.hop_executions} hop "
-        f"executions) in {wall:.3f}s ({result.packets / wall:,.0f} pkt/s)",
-    ]
-    for message in result.violations[:10]:
-        lines.append(f"FAIL: {message}")
-    seen = result.hop_classes_seen()
-    for node, expected in sorted(workload.expected_hop_classes.items()):
-        missing = sorted(set(expected) - set(seen.get(node, [])))
-        if missing:
-            failures += 1
-            lines.append(f"FAIL: hop {node!r} never exercised classes {missing}")
-    payload = result.to_json()
-    payload["wall_clock_s"] = round(wall, 6)
-    payload["packets_per_sec"] = round(result.packets / wall, 3)
-    return {
-        "workload": workload_name,
-        "payload": payload,
-        "text": "\n".join(lines),
-        "classes": [],
-        "hop_classes": seen,
+    spec = next(spec for spec in GRAPH_MATRIX if spec.name == name)
+    workloads: Dict[str, object] = {}
+    lines: List[str] = []
+    hop_classes: Dict[str, Set[str]] = {}
+    failures = 0
+    total = 0
+    for workload in spec.bench_workloads(seed, packets):
+        started = time.perf_counter()
+        replayer = GraphReplayer(workload.graph, models=_bench_models(model_names))
+        result = replayer.replay(
+            workload.stream, schedule=workload.schedule, workload=workload.name
+        )
+        wall = max(time.perf_counter() - started, 1e-9)
+        failures += len(result.violations)
+        lines += _replay_lines(result, wall, f" ({result.hop_executions} hop executions)")
+        seen = result.hop_classes_seen()
+        for node, expected in sorted(workload.expected_hop_classes.items()):
+            missing = sorted(set(expected) - set(seen.get(node, [])))
+            if missing:
+                failures += 1
+                lines.append(f"FAIL: hop {node!r} never exercised classes {missing}")
+        for node, classes in seen.items():
+            hop_classes.setdefault(node, set()).update(classes)
+        workloads[workload.name] = _timed_payload(result, wall)
+        total += result.packets
+    record = {
+        "workloads": workloads,
+        "hop_classes_seen": {
+            node: sorted(classes) for node, classes in sorted(hop_classes.items())
+        },
         "failures": failures,
-        "packets": result.packets,
-        "wall_clock_s": wall,
     }
+    return {"record": record, "text": "\n".join(lines), "failures": failures, "packets": total}
 
 
-def _run_cells(tasks: List[BenchTask], workers: int) -> List[Dict[str, object]]:
-    """Run bench cells, fanning out across processes when it can help.
+def _run_rows(
+    nf_names: List[str], graph_names: List[str], workers: int, **row_args
+) -> Tuple[List[Dict[str, object]], List[Dict[str, object]]]:
+    """Run bench rows, fanning out across processes when it can help.
 
     Fork is required (not just preferred): workers must see the parent's
     live registry — tests swap :data:`NF_MATRIX` for doctored specs — and
     a spawned interpreter would re-import the pristine module.  Without
-    fork (or with one worker) the cells run inline, in order.
+    fork (or with one worker) the rows run inline, in order.
     """
-    if workers > 1 and len(tasks) > 1 and "fork" in multiprocessing.get_all_start_methods():
-        context = multiprocessing.get_context("fork")
-        with context.Pool(min(workers, len(tasks))) as pool:
-            return pool.map(_bench_cell, tasks)
-    return [_bench_cell(task) for task in tasks]
+    nf_row = partial(_nf_row, **row_args)
+    graph_row = partial(_graph_row, **row_args)
+    jobs = len(nf_names) + len(graph_names)
+    if workers > 1 and jobs > 1 and "fork" in multiprocessing.get_all_start_methods():
+        with multiprocessing.get_context("fork").Pool(min(workers, jobs)) as pool:
+            nf_rows = pool.map_async(nf_row, nf_names, chunksize=1)
+            graph_rows = pool.map_async(graph_row, graph_names, chunksize=1)
+            return nf_rows.get(), graph_rows.get()
+    return [nf_row(name) for name in nf_names], [graph_row(name) for name in graph_names]
 
 
-def _profile_cell(task: BenchTask) -> int:
-    """Run one bench cell under cProfile; print the top cumulative entries."""
+def _profile_row(title: str, row: Callable[[], Dict[str, object]]) -> int:
+    """Run one bench row under cProfile; print the top cumulative entries."""
     import cProfile
     import pstats
 
-    _, nf_name, workload_name, _, packets, _ = task
-    _section(f"profile: {nf_name}/{workload_name} at {packets} packets")
+    _section(f"profile: {title}")
     profiler = cProfile.Profile()
     profiler.enable()
-    cell = _bench_cell(task)
+    result = row()
     profiler.disable()
-    print(cell["text"])
+    print(result["text"])
     print()
     pstats.Stats(profiler, stream=sys.stdout).sort_stats("cumulative").print_stats(20)
     return 0
@@ -628,7 +457,7 @@ def run_bench(
     the named hardware models; counts are checked regardless.
     """
     started = time.perf_counter()
-    workers = max(1, workers if workers is not None else os.cpu_count() or 1)
+    workers = workers if workers is not None else os.cpu_count() or 1
     known_models = {model.name for model in _bench_models()}
     unknown_models = sorted(set(models or ()) - known_models)
     if unknown_models:
@@ -648,33 +477,20 @@ def run_bench(
     graph_selected = [
         spec for spec in GRAPH_MATRIX if not filtered or (graphs and spec.name in set(graphs))
     ]
-    # One cheap factory call per row names its workloads (and provides the
-    # structure instances the distilled views attribute costs to); the
-    # real per-cell streams are built inside the cells themselves.
-    plan = [
-        (spec, spec.bench_workloads(_cell_seed(seed, spec.name, "<cells>"), 1))
-        for spec in nf_selected
-    ]
-    graph_plan = [
-        (spec, spec.bench_workloads(_cell_seed(seed, spec.name, "<cells>"), 1))
-        for spec in graph_selected
-    ]
-    tasks: List[BenchTask] = [
-        ("nf", spec.name, workload.name, seed, packets, model_names)
-        for spec, workloads in plan
-        for workload in workloads
-    ]
-    tasks += [
-        ("graph", spec.name, workload.name, seed, packets, model_names)
-        for spec, workloads in graph_plan
-        for workload in workloads
-    ]
-    if not tasks:
+    if not nf_selected and not graph_selected:
         print("FAIL: the --nf/--graph filters selected no bench rows")
         return 2
+    row_args = dict(seed=seed, packets=packets, model_names=model_names)
     if profile:
-        return _profile_cell(tasks[0])
-    cells = _run_cells(tasks, workers)
+        name = nf_selected[0].name if nf_selected else graph_selected[0].name
+        row = _nf_row if nf_selected else _graph_row
+        return _profile_row(f"{name} at {packets} packets", partial(row, name, **row_args))
+    nf_rows, graph_rows = _run_rows(
+        [spec.name for spec in nf_selected],
+        [spec.name for spec in graph_selected],
+        workers,
+        **row_args,
+    )
 
     report: Dict[str, object] = {
         "schema": "repro-bench/1",
@@ -692,57 +508,16 @@ def run_bench(
     }
     failures = 0
     total_packets = 0
-    cursor = 0
-    for spec, workloads in plan:
-        _section(f"bench: {spec.title.removeprefix('NF: ')}")
-        contract = spec.bench_contract()
-        record: Dict[str, object] = {"contract_classes": contract.class_names(), "workloads": {}}
-        classes_seen: set = set()
-        nf_failures = 0
-        for _ in workloads:
-            cell = cells[cursor]
-            cursor += 1
-            print(cell["text"])
-            record["workloads"][cell["workload"]] = cell["payload"]  # type: ignore[index]
-            classes_seen.update(cell["classes"])  # type: ignore[arg-type]
-            nf_failures += cell["failures"]  # type: ignore[operator]
-            total_packets += cell["packets"]  # type: ignore[operator]
-        missing = spec.expected_classes - classes_seen
-        if missing:
-            nf_failures += 1
-            print(f"FAIL: {spec.name} workloads never exercised classes {sorted(missing)}")
-        record["classes_seen"] = sorted(classes_seen)
-        record["failures"] = nf_failures
-        failures += nf_failures
-        # Show what the hardware models make of the contract, distilled.
-        for model in selected_models:
-            distilled = Distiller(contract).distill_cycles(
-                model, structures=tuple(workloads[0].harness.structures)
-            )
-            print()
-            print(distilled.render())
-        report["nfs"][spec.name] = record  # type: ignore[index]
-
-    for spec, workloads in graph_plan:
-        _section(f"bench: {spec.title.removeprefix('graph: ')}")
-        record = {"workloads": {}}
-        hop_classes: Dict[str, set] = {}
-        graph_failures = 0
-        for _ in workloads:
-            cell = cells[cursor]
-            cursor += 1
-            print(cell["text"])
-            record["workloads"][cell["workload"]] = cell["payload"]  # type: ignore[index]
-            for node, classes in cell["hop_classes"].items():  # type: ignore[union-attr]
-                hop_classes.setdefault(node, set()).update(classes)
-            graph_failures += cell["failures"]  # type: ignore[operator]
-            total_packets += cell["packets"]  # type: ignore[operator]
-        record["hop_classes_seen"] = {
-            node: sorted(classes) for node, classes in sorted(hop_classes.items())
-        }
-        record["failures"] = graph_failures
-        failures += graph_failures
-        report["graphs"][spec.name] = record  # type: ignore[index]
+    for kind, prefix, specs, rows in (
+        ("nfs", "NF: ", nf_selected, nf_rows),
+        ("graphs", "graph: ", graph_selected, graph_rows),
+    ):
+        for spec, row in zip(specs, rows):
+            _section(f"bench: {spec.title.removeprefix(prefix)}")
+            print(row["text"])
+            report[kind][spec.name] = row["record"]  # type: ignore[index]
+            failures += row["failures"]  # type: ignore[operator]
+            total_packets += row["packets"]  # type: ignore[operator]
 
     elapsed = max(time.perf_counter() - started, 1e-9)
     # Timing lives under one key so consumers comparing reports across
@@ -791,22 +566,20 @@ def run_graph(
         return 2
     failures = 0
     report: Dict[str, object] = {}
+    model_names = tuple(model.name for model in _bench_models())
     for spec in specs:
         _section(spec.title)
-        probe = spec.bench_workloads(_cell_seed(seed, spec.name, "<cells>"), 1)
-        record: Dict[str, object] = {}
-        model_names = tuple(model.name for model in _bench_models())
-        for workload in probe:
-            cell = _graph_cell(("graph", spec.name, workload.name, seed, packets, model_names))
-            print(cell["text"])
-            churn = cell["payload"]["churn"]  # type: ignore[index]
+        row = _graph_row(spec.name, seed=seed, packets=packets, model_names=model_names)
+        print(row["text"])
+        workloads = row["record"]["workloads"]  # type: ignore[index]
+        for payload in workloads.values():
+            churn = payload["churn"]
             for line in churn["log"][:8]:
                 print(f"  churn {line}")
             if churn["events"] > 8:
                 print(f"  ... {churn['events'] - 8} more churn events")
-            failures += cell["failures"]  # type: ignore[operator]
-            record[workload.name] = cell["payload"]
-        report[spec.name] = record
+        failures += row["failures"]  # type: ignore[operator]
+        report[spec.name] = workloads
     if output:
         with open(output, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
@@ -828,7 +601,7 @@ def _simulated_calibration(spec: NFSpec, contract: PerformanceContract):
     """Replay one NF's calibration stream under the cache simulator.
 
     The stream is a pure function of the bench seed and the NF's name —
-    the first bench workload, regenerated at a dedicated ``<tails>``
+    the NF's first registered workload, built at a dedicated ``<tails>``
     seed and :data:`TAIL_CALIBRATION_PACKETS` packets — so every caller
     (golden regeneration, golden diffing, the ct-audit note) observes
     the identical per-class cycle distributions.
@@ -838,9 +611,10 @@ def _simulated_calibration(spec: NFSpec, contract: PerformanceContract):
         the replay priced cycles under, and its
         :class:`~repro.traffic.ReplayResult`.
     """
-    workload = spec.bench_workloads(
+    calibration = next(iter(spec.workloads.values()))
+    workload = calibration(
         _cell_seed(BENCH_SEED, spec.name, "<tails>"), TAIL_CALIBRATION_PACKETS
-    )[0]
+    )
     model = SimulatedModel()
     result = Replayer(workload.harness, contract, models=[model]).replay(
         workload.stimuli, workload=workload.name
@@ -890,15 +664,14 @@ def _gate_targets(
     for spec in NF_MATRIX:
         if selected is not None and spec.name not in selected:
             continue
-        workload = spec.bench_workloads(_cell_seed(BENCH_SEED, spec.name, "<gate>"), 1)[0]
         contract = spec.bench_contract()
         _attach_tail_columns(spec, contract)
-        targets.append((spec.name, contract, tuple(workload.harness.structures)))
-    for spec in GRAPH_MATRIX:
-        if selected is not None and spec.name not in selected:
+        targets.append((spec.name, contract, tuple(spec.harness().structures)))
+    for graph_spec in GRAPH_MATRIX:
+        if selected is not None and graph_spec.name not in selected:
             continue
-        graph = spec.bench_workloads(_cell_seed(BENCH_SEED, spec.name, "<gate>"), 1)[0].graph
-        targets.append((spec.name, graph.compose(), graph.structures()))
+        graph = graph_spec.graph()
+        targets.append((graph_spec.name, graph.compose(), graph.structures()))
     return targets
 
 
@@ -1003,18 +776,16 @@ def run_ct_audit(*, names: Optional[Sequence[str]] = None, strict: bool = False)
     for spec in NF_MATRIX:
         if names and spec.name not in set(names):
             continue
-        secret_sets = SECRET_CLASS_SETS.get(spec.name, ())
         _section(f"ct-audit: {spec.name}")
-        if not secret_sets:
+        if not spec.secret_sets:
             print(f"no secret class sets declared for {spec.name}")
             continue
         contract = spec.bench_contract()
-        workload = spec.bench_workloads(_cell_seed(BENCH_SEED, spec.name, "<gate>"), 1)[0]
         findings = audit_contract(
             contract,
-            secret_sets,
+            spec.secret_sets,
             models=models,
-            structures=tuple(workload.harness.structures),
+            structures=tuple(spec.harness().structures),
         )
         for finding in findings:
             audited += 1
@@ -1025,8 +796,8 @@ def run_ct_audit(*, names: Optional[Sequence[str]] = None, strict: bool = False)
                 print(
                     f"FAIL: {spec.name}/{finding.secret_set.name} is "
                     f"{finding.verdict} but declared "
-                    f"{finding.secret_set.expectation} — update "
-                    "repro.audit.SECRET_CLASS_SETS if this is intentional"
+                    f"{finding.secret_set.expectation} — update the NF's "
+                    "SPEC.secret_sets if this is intentional"
                 )
             elif strict and finding.leaks:
                 failures += 1
@@ -1060,6 +831,17 @@ def run_ct_audit(*, names: Optional[Sequence[str]] = None, strict: bool = False)
 # --------------------------------------------------------------------------- #
 # entry point
 # --------------------------------------------------------------------------- #
+def _count(text: str) -> int:
+    """``argparse`` type of the ``--packets`` / ``--workers`` flags: an int >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
+    return value
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.cli",
@@ -1070,20 +852,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     bench = sub.add_parser("bench", help="measured-vs-predicted evaluation bench")
     bench.add_argument("--output", default=BENCH_OUTPUT, help="report path (BENCH_*.json)")
     bench.add_argument(
-        "--packets", type=int, default=BENCH_PACKETS, help="packets per uniform/zipf workload"
+        "--packets", type=_count, default=BENCH_PACKETS, help="packets per uniform/zipf workload"
     )
     bench.add_argument("--seed", type=int, default=BENCH_SEED, help="workload RNG seed")
     bench.add_argument(
         "--workers",
-        type=int,
+        type=_count,
         default=None,
-        help="bench cells run in parallel (default: all CPUs); the report "
+        help="bench rows run in parallel (default: all CPUs); the report "
         "is bit-identical for every value",
     )
     bench.add_argument(
         "--profile",
         action="store_true",
-        help="profile one bench cell under cProfile and exit",
+        help="profile one bench row under cProfile and exit",
     )
     bench.add_argument(
         "--nf",
@@ -1111,7 +893,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--graph", default=None, metavar="NAME", help="graph name (default: all registered)"
     )
     graph.add_argument(
-        "--packets", type=int, default=GRAPH_PACKETS, help="stream length to replay"
+        "--packets", type=_count, default=GRAPH_PACKETS, help="stream length to replay"
     )
     graph.add_argument("--seed", type=int, default=BENCH_SEED, help="cell seed")
     graph.add_argument(

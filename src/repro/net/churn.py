@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.nf import lb as lb_nf
-from repro.nf.workloads import lb_control_stimulus
 from repro.structures.lpm import LpmTrie
 from repro.traffic.generators import Stimulus
 
@@ -112,7 +111,7 @@ def backend_add(at: int, node: str, backend: int) -> ChurnEvent:
         node=node,
         kind="backend_add",
         describe=f"add backend {backend} at {node}",
-        inject=lambda time: lb_control_stimulus(
+        inject=lambda time: lb_nf.lb_control_stimulus(
             lb_nf.CMD_ADD, backend, time, f"churn:add:{backend}"
         ),
     )
@@ -125,7 +124,7 @@ def backend_remove(at: int, node: str, backend: int) -> ChurnEvent:
         node=node,
         kind="backend_remove",
         describe=f"drain backend {backend} at {node}",
-        inject=lambda time: lb_control_stimulus(
+        inject=lambda time: lb_nf.lb_control_stimulus(
             lb_nf.CMD_REMOVE, backend, time, f"churn:remove:{backend}"
         ),
     )

@@ -1,9 +1,10 @@
 """The shipped service graphs: LB → NAT → (firewall →) router pipelines.
 
-This module is to :mod:`repro.net` what :mod:`repro.nf.workloads` is to
+This module is to :mod:`repro.net` what each NF module's ``SPEC`` is to
 the single-NF bench: it supplies what only the deployment can know — the
 topology, each hop's ingress adapter, the capture the stream derives
-from, and the churn schedule that reconfigures the deployment mid-run.
+from, and the churn schedule that reconfigures the deployment mid-run —
+and registers each graph as one :class:`GraphSpec`.
 
 The 3-hop graph models a classic ingress pipeline:
 
@@ -40,21 +41,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import FrozenSet, List, Mapping, Tuple
+from typing import Callable, FrozenSet, List, Mapping, Tuple
 
 from repro.nf import firewall as firewall_nf
 from repro.nf import lb as lb_nf
 from repro.nf import nat as nat_nf
-from repro.nf.firewall import generate_firewall_contract
-from repro.nf.lb import generate_lb_contract
-from repro.nf.nat import generate_nat_contract
-from repro.nf.router import generate_router_contract
-from repro.nf.workloads import (
-    firewall_harness,
-    lb_harness,
-    nat_harness,
-    router_harness,
-)
+from repro.nf import router as router_nf
 from repro.net.churn import (
     ChurnSchedule,
     backend_add,
@@ -71,9 +63,10 @@ from repro.traffic.pcap import Capture, CapturedPacket, read_pcap, sample_captur
 
 __all__ = [
     "GRAPH_BACKENDS",
-    "GRAPH_CAPACITY",
     "GRAPH_FIXTURE",
-    "GRAPH_TIMEOUT",
+    "LB_NAT_FW_ROUTER",
+    "LB_NAT_ROUTER",
+    "GraphSpec",
     "GraphWorkload",
     "expected_fw_hop_classes",
     "expected_hop_classes",
@@ -87,12 +80,6 @@ __all__ = [
     "load_graph_capture",
 ]
 
-#: Geometry shared by every stateful hop (matches the single-NF bench).
-GRAPH_CAPACITY = 16
-GRAPH_TIMEOUT = 50
-#: LB geometry (matches the single-NF bench).
-GRAPH_TABLE_SIZE = 13
-GRAPH_MAX_BACKENDS = 4
 #: The LB's backend pool, activated by churn control frames at stream
 #: index 2 — the frames before that are deliberately dropped
 #: (``no_backends``).
@@ -241,6 +228,35 @@ def _fw_ingress(packet: bytes, meta: Mapping[str, int]) -> Stimulus:
     )
 
 
+# Every hop runs at its NF's bench geometry, so each hop's contract is the
+# very one the single-NF bench and the golden gate check.
+def _lb_node() -> Node:
+    return Node(
+        name="lb",
+        harness=lb_nf.lb_harness(),
+        contract=lb_nf.SPEC.bench_contract(),
+        ingress=_lb_ingress,
+    )
+
+
+def _nat_node() -> Node:
+    return Node(
+        name="nat",
+        harness=nat_nf.nat_harness(pool=GRAPH_POOL),
+        contract=nat_nf.SPEC.bench_contract(),
+        ingress=_nat_ingress,
+    )
+
+
+def _router_node() -> Node:
+    return Node(
+        name="router",
+        harness=router_nf.router_harness(GRAPH_ROUTES),
+        contract=router_nf.SPEC.bench_contract(),
+        ingress=_router_ingress,
+    )
+
+
 def lb_nat_router_graph() -> Graph:
     """Build the shipped 3-hop graph with fresh state and fresh contracts.
 
@@ -249,37 +265,9 @@ def lb_nat_router_graph() -> Graph:
     precondition :class:`~repro.net.graph.Graph` enforces so a route's
     merged PCV observations never collide.
     """
-    lb_node = Node(
-        name="lb",
-        harness=lb_harness(
-            GRAPH_CAPACITY,
-            GRAPH_TIMEOUT,
-            table_size=GRAPH_TABLE_SIZE,
-            max_backends=GRAPH_MAX_BACKENDS,
-        ),
-        contract=generate_lb_contract(
-            GRAPH_CAPACITY,
-            GRAPH_TIMEOUT,
-            table_size=GRAPH_TABLE_SIZE,
-            max_backends=GRAPH_MAX_BACKENDS,
-        ),
-        ingress=_lb_ingress,
-    )
-    nat_node = Node(
-        name="nat",
-        harness=nat_harness(GRAPH_CAPACITY, GRAPH_TIMEOUT, pool=GRAPH_POOL),
-        contract=generate_nat_contract(GRAPH_CAPACITY, GRAPH_TIMEOUT),
-        ingress=_nat_ingress,
-    )
-    router_node = Node(
-        name="router",
-        harness=router_harness(list(GRAPH_ROUTES)),
-        contract=generate_router_contract(),
-        ingress=_router_ingress,
-    )
     return Graph(
         "lb_nat_router",
-        nodes=(lb_node, nat_node, router_node),
+        nodes=(_lb_node(), _nat_node(), _router_node()),
         links=(
             Link("lb", "nat", frozenset({"new_flow", "existing_flow", "backend_drained"})),
             Link("nat", "router", frozenset({"internal_new", "internal_existing"})),
@@ -291,49 +279,21 @@ def lb_nat_router_graph() -> Graph:
 def lb_nat_fw_router_graph() -> Graph:
     """Build the 4-hop egress pipeline: LB → NAT → firewall → router.
 
-    The firewall hop reuses the 3-hop deployment's geometry; its instance
-    names (``fw_conn``/``fw_slots``) are disjoint from every other hop's,
-    which is what lets the same NF library compose into deeper graphs
-    without PCV aliasing.  Only admitted connections (``outbound_new`` /
-    ``outbound_established``) reach the router.
+    The firewall hop's instance names (``fw_conn``/``fw_slots``) are
+    disjoint from every other hop's, which is what lets the same NF
+    library compose into deeper graphs without PCV aliasing.  Only
+    admitted connections (``outbound_new`` / ``outbound_established``)
+    reach the router.
     """
-    lb_node = Node(
-        name="lb",
-        harness=lb_harness(
-            GRAPH_CAPACITY,
-            GRAPH_TIMEOUT,
-            table_size=GRAPH_TABLE_SIZE,
-            max_backends=GRAPH_MAX_BACKENDS,
-        ),
-        contract=generate_lb_contract(
-            GRAPH_CAPACITY,
-            GRAPH_TIMEOUT,
-            table_size=GRAPH_TABLE_SIZE,
-            max_backends=GRAPH_MAX_BACKENDS,
-        ),
-        ingress=_lb_ingress,
-    )
-    nat_node = Node(
-        name="nat",
-        harness=nat_harness(GRAPH_CAPACITY, GRAPH_TIMEOUT, pool=GRAPH_POOL),
-        contract=generate_nat_contract(GRAPH_CAPACITY, GRAPH_TIMEOUT),
-        ingress=_nat_ingress,
-    )
     fw_node = Node(
         name="fw",
-        harness=firewall_harness(GRAPH_CAPACITY, GRAPH_TIMEOUT, slots=GRAPH_FW_SLOTS),
-        contract=generate_firewall_contract(GRAPH_CAPACITY, GRAPH_TIMEOUT),
+        harness=firewall_nf.firewall_harness(slots=GRAPH_FW_SLOTS),
+        contract=firewall_nf.SPEC.bench_contract(),
         ingress=_fw_ingress,
-    )
-    router_node = Node(
-        name="router",
-        harness=router_harness(list(GRAPH_ROUTES)),
-        contract=generate_router_contract(),
-        ingress=_router_ingress,
     )
     return Graph(
         "lb_nat_fw_router",
-        nodes=(lb_node, nat_node, fw_node, router_node),
+        nodes=(_lb_node(), _nat_node(), fw_node, _router_node()),
         links=(
             Link("lb", "nat", frozenset({"new_flow", "existing_flow", "backend_drained"})),
             Link("nat", "fw", frozenset({"internal_new", "internal_existing"})),
@@ -395,7 +355,7 @@ def graph_stream(packets: int) -> List[GraphFrame]:
 def _drained_backend() -> int:
     """The backend flow A binds to (repopulation is deterministic)."""
     scratch = MaglevTable(
-        "scratch", table_size=GRAPH_TABLE_SIZE, max_backends=GRAPH_MAX_BACKENDS
+        "scratch", table_size=lb_nf.BENCH_TABLE_SIZE, max_backends=lb_nf.BENCH_MAX_BACKENDS
     )
     for backend in GRAPH_BACKENDS:
         scratch.add_backend(backend)
@@ -418,7 +378,7 @@ def graph_churn_schedule(graph: Graph, packets: int) -> ChurnSchedule:
         for structure in graph.nodes["lb"].harness.structures
         if hasattr(structure, "wheel_slots")
     )
-    jump = GRAPH_TIMEOUT + conn.wheel_slots + 1
+    jump = conn.timeout + conn.wheel_slots + 1
     drained = _drained_backend()
     events = [backend_add(2, "lb", backend) for backend in GRAPH_BACKENDS]
     events += [
@@ -490,3 +450,38 @@ def lb_nat_fw_router_workloads(seed: int, packets: int) -> List[GraphWorkload]:
             expected_hop_classes=expected_fw_hop_classes(),
         )
     ]
+
+
+@dataclass(frozen=True)
+class GraphSpec:
+    """One service graph's registration with the bench and the gates.
+
+    Attributes:
+        name: graph name (bench report key, ``--graph`` filter value).
+        title: section title printed by the bench / graph runs.
+        graph: builds the deployed graph (fresh state, fresh hop
+            contracts); the gates compose it, the docs check reads its
+            hop names.
+        bench_workloads: ``(seed, packets) -> [GraphWorkload]`` factory;
+            each workload carries a fresh graph, its stream and its churn
+            schedule.
+    """
+
+    name: str
+    title: str
+    graph: Callable[[], Graph]
+    bench_workloads: Callable[[int, int], List[GraphWorkload]]
+
+
+LB_NAT_ROUTER = GraphSpec(
+    "lb_nat_router",
+    "graph: LB -> NAT -> router ingress pipeline",
+    lb_nat_router_graph,
+    lb_nat_router_workloads,
+)
+LB_NAT_FW_ROUTER = GraphSpec(
+    "lb_nat_fw_router",
+    "graph: LB -> NAT -> firewall -> router egress pipeline",
+    lb_nat_fw_router_graph,
+    lb_nat_fw_router_workloads,
+)

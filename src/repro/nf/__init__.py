@@ -21,30 +21,27 @@ to their bounds.  Currently implemented:
   ``lb_tbl.f`` and ``conn.*``) — the first NF whose dominant cost is a
   control-plane operation (table repopulation on backend churn).
 
-Shared replay glue lives in :mod:`repro.nf.replay` (the
-:class:`~repro.nf.replay.NFHarness` the traffic replayer drives) and the
-per-NF evaluation workloads — uniform, Zipf and provably-worst-case
-adversarial — in :mod:`repro.nf.workloads`.
+* :mod:`repro.nf.firewall` — a connection-tracking firewall (PCVs
+  ``fw_conn.*``).
+* :mod:`repro.nf.monitor` — a heavy-hitter monitor over a
+  :class:`~repro.structures.CountMinSketch` (no PCVs).
 
-The paper's remaining NFs (e.g. a firewall with connection tracking) are
-tracked in ROADMAP.md; docs/NF_AUTHORING.md is the step-by-step guide to
-adding one, and docs/STRUCTURES.md its counterpart for structures.
+Each NF module also builds its bench harness and its five evaluation
+workloads, and registers everything once as its ``SPEC``
+(:class:`~repro.nf.workloads.NFSpec`); :mod:`repro.registry` lists the
+specs.  Shared replay glue lives in :mod:`repro.nf.replay` (the
+:class:`~repro.nf.replay.NFHarness` the traffic replayer drives) and the
+shared workload helpers in :mod:`repro.nf.workloads`.
+
+docs/NF_AUTHORING.md is the step-by-step guide to adding an NF, and
+docs/STRUCTURES.md its counterpart for structures.
 """
 
 from repro.nf.replay import NFHarness, replay_env
-from repro.nf.workloads import (
-    Workload,
-    bridge_harness,
-    bridge_workloads,
-    lb_harness,
-    lb_workloads,
-    nat_harness,
-    nat_workloads,
-    router_harness,
-    router_workloads,
-)
+from repro.nf.workloads import NFSpec, Workload
 from repro.nf.lb import (
     build_lb_module,
+    lb_harness,
     classify_lb_path,
     generate_lb_contract,
     lb_replay_env,
@@ -52,6 +49,7 @@ from repro.nf.lb import (
     make_lb_state,
 )
 from repro.nf.bridge import (
+    bridge_harness,
     bridge_replay_env,
     bridge_symbolic_inputs,
     build_bridge_module,
@@ -64,6 +62,7 @@ from repro.nf.nat import (
     classify_nat_path,
     generate_nat_contract,
     make_nat_tables,
+    nat_harness,
     nat_replay_env,
     nat_symbolic_inputs,
 )
@@ -73,17 +72,18 @@ from repro.nf.router import (
     generate_router_contract,
     ipv4_packet,
     make_routing_table,
+    router_harness,
     router_replay_env,
     router_symbolic_inputs,
 )
 
 __all__ = [
     "NFHarness",
+    "NFSpec",
     "Workload",
     "bridge_harness",
     "bridge_replay_env",
     "bridge_symbolic_inputs",
-    "bridge_workloads",
     "build_bridge_module",
     "build_lb_module",
     "build_nat_module",
@@ -100,7 +100,6 @@ __all__ = [
     "lb_harness",
     "lb_replay_env",
     "lb_symbolic_inputs",
-    "lb_workloads",
     "make_bridge_table",
     "make_lb_state",
     "make_nat_tables",
@@ -108,10 +107,8 @@ __all__ = [
     "nat_harness",
     "nat_replay_env",
     "nat_symbolic_inputs",
-    "nat_workloads",
     "replay_env",
     "router_harness",
     "router_replay_env",
     "router_symbolic_inputs",
-    "router_workloads",
 ]

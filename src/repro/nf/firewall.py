@@ -48,22 +48,36 @@ constant-time and contributes none): ``fw_conn.t`` chain links walked,
 ``fw_conn.e`` entries expired by one sweep, ``fw_conn.w`` wheel slots
 advanced.
 
-Worst-case workloads: :func:`repro.nf.workloads.firewall_adversarial`
-pins all three bounds via colliding flow keys and a full-revolution
-idle jump; :func:`repro.nf.workloads.firewall_scan_sweep` drains the
-slot pool with a ZMap-style source sweep, driving every later admission
-into ``conn_full``.
+Worst-case workloads: :func:`firewall_adversarial` pins all three
+bounds via colliding flow keys and a full-revolution idle jump;
+:func:`firewall_scan_sweep` drains the slot pool with a ZMap-style
+source sweep, driving every later admission into ``conn_full``.
+
+The module registers the firewall with the CLI, the gates and the docs
+check through :data:`SPEC`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+import random
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.audit.ct import CONSTANT_TIME, LEAK, SecretClassSet
 from repro.core.bolt import Bolt, BoltConfig
 from repro.core.contract import PerformanceContract
 from repro.core.input_class import InputClass
 from repro.core.pcv import PCVRegistry
-from repro.nf.replay import replay_env
+from repro.nf.replay import NFHarness, replay_env
+from repro.nf.workloads import (
+    WAN_CLIENT,
+    WAN_SERVER,
+    NFSpec,
+    Workload,
+    colliding_keys,
+    draw_flows,
+    sampled_stimuli,
+)
+from repro.nfil.interpreter import ExternHandler
 from repro.nfil.builder import FunctionBuilder
 from repro.nfil.program import Module
 from repro.nfil.tracer import ExecutionTrace
@@ -73,6 +87,8 @@ from repro.sym import expr as E
 from repro.sym.expr import BV, Const, Sym
 from repro.sym.paths import Path
 from repro.sym.state import SymbolicMemory
+from repro.traffic.generators import Stimulus
+from repro.traffic.packets import nat_frame
 
 __all__ = [
     "CONN_NAME",
@@ -89,10 +105,15 @@ __all__ = [
     "NOT_FOUND",
     "PKT_BASE",
     "SLOTS_NAME",
+    "SPEC",
     "build_firewall_module",
     "classify_firewall_path",
+    "firewall_adversarial",
+    "firewall_harness",
+    "firewall_header_flood",
     "firewall_registry",
     "firewall_replay_env",
+    "firewall_scan_sweep",
     "firewall_symbolic_inputs",
     "generate_firewall_contract",
     "make_firewall_state",
@@ -124,6 +145,10 @@ DENY_PORT = 25
 #: firewall can share a service graph with the LB/NAT/router).
 CONN_NAME = "fw_conn"
 SLOTS_NAME = "fw_slots"
+
+#: Bench geometry: connection-table capacity and timeout (ticks).
+BENCH_CAPACITY = 16
+BENCH_TIMEOUT = 50
 
 #: Drop reason codes returned by the firewall.
 DROP_SHORT = 0xFFD0
@@ -356,3 +381,243 @@ def firewall_replay_env(
 ) -> Dict[str, int]:
     """Build the symbol assignment a concrete firewall execution matches."""
     return replay_env(packet, PKT_SYM_BYTES, trace, len=length, in_port=in_port, time=time)
+
+
+# --------------------------------------------------------------------------- #
+# Bench harness and workloads
+# --------------------------------------------------------------------------- #
+def firewall_harness(*, slots: Optional[Iterable[int]] = None) -> NFHarness:
+    """A fresh connection-tracking firewall at bench geometry, wired for replay.
+
+    The handler merges the connection table and the slot allocator into
+    one dispatch table, exactly like the NAT's three-instance merge.
+    ``slots`` overrides the default ``capacity``-slot pool.
+    """
+    conn, pool = make_firewall_state(BENCH_CAPACITY, BENCH_TIMEOUT, slots=slots)
+    handler = ExternHandler().merge(conn).merge(pool)
+    return NFHarness(
+        "firewall",
+        build_firewall_module(),
+        FIREWALL_FUNCTION,
+        handler=handler,
+        structures=(conn, pool),
+        pkt_base=PKT_BASE,
+        sym_bytes=PKT_SYM_BYTES,
+        scalar_order=("len", "in_port", "time"),
+    )
+
+
+
+def _firewall_mixed(
+    rng: random.Random, indices: List[int], flows: Sequence[Tuple[int, int]], note: str
+) -> List[Stimulus]:
+    """Turn sampled flow indices into a frame mix covering every class.
+
+    Most frames are LAN→WAN traffic from the sampled flow (new or
+    established); every 17th is truncated (``short``), every 11th carries
+    a non-IPv4 EtherType (``non_ip``), every 23rd is an outbound frame to
+    the filtered port (``denied``), and every 5th is a WAN frame probing
+    the sampled endpoint (``inbound_established`` once the connection
+    exists, ``unsolicited`` before it does or after it expires).
+    """
+    stimuli: List[Stimulus] = []
+    for n, index in enumerate(indices):
+        src_ip, src_port = flows[index]
+        scalars = {"in_port": LAN_PORT, "time": n * 3}
+        if n % 17 == 0:
+            packet = nat_frame(src_ip, src_port, WAN_SERVER, 80)[: rng.randrange(0, 37)]
+        elif n % 11 == 0:
+            packet = nat_frame(src_ip, src_port, WAN_SERVER, 80, ethertype=(0x86, 0xDD))
+        elif n % 23 == 6:
+            packet = nat_frame(src_ip, src_port, WAN_SERVER, DENY_PORT)
+        elif n % 5 == 0:
+            packet = nat_frame(WAN_CLIENT, 443, src_ip, src_port)
+            scalars["in_port"] = 1 + rng.randrange(3)
+        else:
+            packet = nat_frame(src_ip, src_port, WAN_SERVER, 80)
+        stimuli.append(Stimulus(packet=packet, scalars=scalars, note=note))
+    return stimuli
+
+
+def firewall_sampled(family: str, seed: int, packets: int) -> Workload:
+    """The ``uniform`` or ``zipf`` stream over twelve LAN flows.
+
+    Sampled streams run with a generous ``4 * capacity`` slot pool so
+    realistic traffic is admitted freely — exhausting the pool (and
+    reaching ``conn_full``) is the scan sweep's job, which runs with the
+    default ``capacity``-sized pool.
+    """
+    stimuli = sampled_stimuli(
+        family, seed, packets, population=12, draw=draw_flows, mix=_firewall_mixed
+    )
+    harness = firewall_harness(slots=range(1, 4 * BENCH_CAPACITY + 1))
+    return Workload(family, harness, stimuli)
+
+
+def firewall_adversarial() -> Workload:
+    """The firewall worst-case stream: every ``fw_conn`` PCV at its bound.
+
+    Phases (times chosen so nothing expires before the final sweep):
+
+    1. ``fill`` — ``capacity`` outbound flows whose keys collide in the
+       connection table are admitted, building one maximal chain and
+       draining the (default, ``capacity``-sized) slot pool.
+    2. ``worst_t`` — a frame from the *last* established flow: the lookup
+       and lease refresh walk ``fw_conn.t = capacity`` links.
+    3. ``conn_full`` — a brand-new outbound flow finds no slot: dropped.
+    4. ``inbound`` — a WAN frame to the tail endpoint: forwarded
+       read-only (``inbound_established``).
+    5. ``denied`` — an outbound frame to the filtered port: dropped by
+       the egress rule before any table work.
+    6. ``unsolicited`` — a WAN frame to an untracked endpoint: dropped.
+    7. ``worst_e`` — time jumps beyond a full wheel revolution past every
+       deadline: one sweep advances ``fw_conn.w = wheel_slots`` slots and
+       expires all ``fw_conn.e = capacity`` connections.
+    """
+    capacity = BENCH_CAPACITY
+    harness = firewall_harness()
+    conn = harness.structures[0]
+    wheel_slots = conn.wheel_slots
+    flows = colliding_keys(capacity, buckets=capacity)
+    flow_set = set(flows)
+    stimuli: List[Stimulus] = [
+        Stimulus(
+            packet=nat_frame(key >> 16, key & 0xFFFF, WAN_SERVER, 80),
+            scalars={"in_port": LAN_PORT, "time": i},
+            note="fill",
+        )
+        for i, key in enumerate(flows)
+    ]
+    tail = flows[-1]
+    fresh = next(k for k in range(1, 1 << 16) if k not in flow_set)
+    # (packet, ingress device, note) of every probe after the fill.
+    probes = [
+        (nat_frame(tail >> 16, tail & 0xFFFF, WAN_SERVER, 80), LAN_PORT, "worst_t"),
+        (nat_frame(fresh >> 16, fresh & 0xFFFF, WAN_SERVER, 80), LAN_PORT, "conn_full"),
+        (nat_frame(WAN_CLIENT, 443, tail >> 16, tail & 0xFFFF), 1, "inbound"),
+        (nat_frame(fresh >> 16, fresh & 0xFFFF, WAN_SERVER, DENY_PORT), LAN_PORT, "denied"),
+        (nat_frame(WAN_CLIENT, 443, fresh >> 16, fresh & 0xFFFF), 1, "unsolicited"),
+    ]
+    stimuli += [
+        Stimulus(packet=packet, scalars={"in_port": port, "time": capacity}, note=note)
+        for packet, port, note in probes
+    ]
+    # Latest deadline: the tail refresh at time `capacity` plus the
+    # timeout.  Jumping past it by a full revolution makes the sweep
+    # advance wheel_slots slots and visit every deadline slot.
+    doom = capacity + BENCH_TIMEOUT + wheel_slots + 1
+    stimuli.append(
+        Stimulus(
+            packet=nat_frame(WAN_CLIENT, 443, fresh >> 16, fresh & 0xFFFF),
+            scalars={"in_port": 1, "time": doom},
+            note="worst_e",
+        )
+    )
+    return Workload(
+        "adversarial",
+        harness,
+        tuple(stimuli),
+        expected_worst={
+            conn.pcv_name("t"): capacity,
+            conn.pcv_name("e"): capacity,
+            conn.pcv_name("w"): wheel_slots,
+        },
+    )
+
+
+def firewall_scan_sweep(packets: int) -> Workload:
+    """A ZMap-style sweep from inside: one fresh source per frame.
+
+    Slots are leased for the bench lifetime, so a sweep of distinct
+    sources drains the default ``capacity``-sized pool front to back and
+    every admission after that is ``conn_full`` — connection-table
+    exhaustion under a realistic scanner, not a crafted collision.
+    """
+    stimuli = [
+        Stimulus(
+            packet=nat_frame(0x2D000000 + n, 33333, WAN_SERVER, 80),
+            scalars={"in_port": LAN_PORT, "time": n},
+            note="scan",
+        )
+        for n in range(packets)
+    ]
+    return Workload("scan_sweep", firewall_harness(), tuple(stimuli))
+
+
+def firewall_header_flood(packets: int) -> Workload:
+    """A SYN-flood-shaped blast against the stateful default-deny.
+
+    Most frames are WAN probes of one never-established LAN endpoint
+    (``unsolicited``, back to back); every 5th is an outbound frame to
+    the filtered port (the egress rule running hot), and every 17th is a
+    runt.
+    """
+    victim_ip, victim_port = 0x0A00002A, 8080  # the probed LAN endpoint
+    stimuli: List[Stimulus] = []
+    for n in range(packets):
+        if n % 17 == 0:
+            packet = nat_frame(WAN_CLIENT, 443, victim_ip, victim_port)[: n % 12]
+            scalars = {"in_port": 1, "time": n}
+        elif n % 5 == 2:
+            packet = nat_frame(victim_ip, victim_port, WAN_SERVER, DENY_PORT)
+            scalars = {"in_port": LAN_PORT, "time": n}
+        else:
+            packet = nat_frame(WAN_CLIENT, 443 + (n % 7), victim_ip, victim_port)
+            scalars = {"in_port": 1 + (n % 3), "time": n}
+        stimuli.append(Stimulus(packet=packet, scalars=scalars, note="flood"))
+    return Workload("header_flood", firewall_harness(), tuple(stimuli))
+
+
+SPEC = NFSpec(
+    name="firewall",
+    title="NF: connection-tracking firewall",
+    smoke_contract=generate_firewall_contract,
+    bench_contract=lambda: generate_firewall_contract(BENCH_CAPACITY, BENCH_TIMEOUT),
+    harness=firewall_harness,
+    workloads={
+        "uniform": lambda seed, packets: firewall_sampled("uniform", seed, packets),
+        "zipf": lambda seed, packets: firewall_sampled("zipf", seed, packets),
+        "adversarial": lambda seed, packets: firewall_adversarial(),
+        "scan_sweep": lambda seed, packets: firewall_scan_sweep(packets),
+        "header_flood": lambda seed, packets: firewall_header_flood(packets),
+    },
+    expected_classes=frozenset(
+        {
+            "short",
+            "non_ip",
+            "denied",
+            "outbound_established",
+            "outbound_new",
+            "conn_full",
+            "inbound_established",
+            "unsolicited",
+        }
+    ),
+    secret_sets=(
+        SecretClassSet(
+            "egress rule verdict",
+            ("denied", "outbound_new"),
+            "whether an outbound destination port is filtered (policy probing "
+            "from the LAN: the denied path does no table work)",
+            LEAK,
+        ),
+        SecretClassSet(
+            "connection tracking",
+            ("outbound_new", "outbound_established"),
+            "whether an outbound flow was already tracked (conn-table oracle: "
+            "admission allocates a slot the refresh path never touches)",
+            LEAK,
+        ),
+        # The default-deny is deliberately shaped so both inbound paths do
+        # one read-only lookup and return a constant: a WAN prober timing
+        # the firewall cannot tell a tracked endpoint from an untracked
+        # one.  CI keeps proving the polynomials identical.
+        SecretClassSet(
+            "inbound probe response",
+            ("inbound_established", "unsolicited"),
+            "whether a WAN-probed endpoint has an active connection "
+            "(conn-table scan from outside)",
+            CONSTANT_TIME,
+        ),
+    ),
+)

@@ -40,32 +40,55 @@ Input classes of the generated contract:
 ``no_backends``      selection needed but the table is empty: dropped
 ===================  ======================================================
 
-Worst-case workload: :func:`repro.nf.workloads.lb_adversarial` pins all
-four PCV bounds — colliding flow keys build a maximal connection-table
-chain (``conn.t``), a backend-churn phase over backends with *identical
-permutations* drives a repopulation to exactly its proven worst case
-(``lb_tbl.f``), and a full-revolution time jump expires the whole
-connection table in one sweep (``conn.w`` / ``conn.e``).
+Worst-case workload: :func:`lb_adversarial` pins all four PCV bounds —
+colliding flow keys build a maximal connection-table chain (``conn.t``),
+a backend-churn phase over backends with *identical permutations* drives
+a repopulation to exactly its proven worst case (``lb_tbl.f``), and a
+full-revolution time jump expires the whole connection table in one
+sweep (``conn.w`` / ``conn.e``).
+
+The module registers the LB with the CLI, the gates and the docs check
+through :data:`SPEC`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import random
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.audit.ct import LEAK, SecretClassSet
 from repro.core.bolt import Bolt, BoltConfig
 from repro.core.contract import PerformanceContract
 from repro.core.input_class import InputClass
 from repro.core.pcv import PCVRegistry
-from repro.nf.replay import replay_env
+from repro.nf.replay import NFHarness, replay_env
+from repro.nf.workloads import (
+    WAN_SERVER,
+    NFSpec,
+    Workload,
+    colliding_backends,
+    colliding_keys,
+    draw_flows,
+    sampled_stimuli,
+)
+from repro.nfil.interpreter import ExternHandler
 from repro.nfil.builder import FunctionBuilder
 from repro.nfil.program import Module
 from repro.nfil.tracer import ExecutionTrace
 from repro.nfil.validate import validate_module
-from repro.structures import NOT_FOUND, ExpiringMap, MaglevTable, StructureModel
+from repro.structures import (
+    NOT_FOUND,
+    ExpiringMap,
+    MaglevTable,
+    StructureModel,
+    max_fill_iterations,
+)
 from repro.sym import expr as E
 from repro.sym.expr import BV, Const, Sym
 from repro.sym.paths import Path
 from repro.sym.state import SymbolicMemory
+from repro.traffic.generators import Stimulus
+from repro.traffic.packets import nat_frame
 
 __all__ = [
     "CMD_ADD",
@@ -81,10 +104,15 @@ __all__ = [
     "MIN_LB_FRAME",
     "NOT_FOUND",
     "PKT_BASE",
+    "SPEC",
     "TBL_NAME",
     "build_lb_module",
     "classify_lb_path",
     "generate_lb_contract",
+    "lb_adversarial",
+    "lb_control_stimulus",
+    "lb_data_stimulus",
+    "lb_harness",
     "lb_registry",
     "lb_replay_env",
     "lb_symbolic_inputs",
@@ -114,6 +142,13 @@ MAX_CMD = 3
 #: Structure instance names (also the PCV namespaces: ``lb_tbl.f``, ``conn.t``).
 TBL_NAME = "lb_tbl"
 CONN_NAME = "conn"
+
+#: Bench geometry: connection-table capacity and timeout (ticks), Maglev
+#: slots (prime) and the backend ceiling.
+BENCH_CAPACITY = 16
+BENCH_TIMEOUT = 50
+BENCH_TABLE_SIZE = 13
+BENCH_MAX_BACKENDS = 4
 
 #: Drop/acknowledge codes returned by the LB.
 DROP_SHORT = 0xFFC0
@@ -359,3 +394,262 @@ def lb_replay_env(
 ) -> Dict[str, int]:
     """Build the symbol assignment a concrete LB execution matches."""
     return replay_env(packet, PKT_SYM_BYTES, trace, len=length, cmd=cmd, arg=arg, time=time)
+
+
+# --------------------------------------------------------------------------- #
+# Bench harness and workloads
+# --------------------------------------------------------------------------- #
+def lb_bench_contract() -> PerformanceContract:
+    """The LB contract at bench geometry."""
+    return generate_lb_contract(
+        BENCH_CAPACITY,
+        BENCH_TIMEOUT,
+        table_size=BENCH_TABLE_SIZE,
+        max_backends=BENCH_MAX_BACKENDS,
+    )
+
+
+def lb_harness() -> NFHarness:
+    """A fresh Maglev-style load balancer at bench geometry, wired for replay.
+
+    Backends arrive through the replayed control frames, never host-side:
+    the repopulation cost (``lb_tbl.f``) must land in traces for the
+    adversarial bound check to observe it.
+    """
+    tbl, conn = make_lb_state(
+        BENCH_CAPACITY,
+        BENCH_TIMEOUT,
+        table_size=BENCH_TABLE_SIZE,
+        max_backends=BENCH_MAX_BACKENDS,
+    )
+    handler = ExternHandler().merge(tbl).merge(conn)
+    return NFHarness(
+        "lb",
+        build_lb_module(),
+        LB_FUNCTION,
+        handler=handler,
+        structures=(tbl, conn),
+        pkt_base=PKT_BASE,
+        sym_bytes=PKT_SYM_BYTES,
+        scalar_order=("len", "cmd", "arg", "time"),
+    )
+
+
+def lb_control_stimulus(cmd: int, backend: int, time: int, note: str = "ctrl") -> Stimulus:
+    """A control frame: no packet bytes, the command in the scalars.
+
+    Public because the service-graph churn events
+    (:mod:`repro.net.churn`) inject exactly these frames mid-stream.
+    """
+    return Stimulus(packet=b"", scalars={"cmd": cmd, "arg": backend, "time": time}, note=note)
+
+
+def lb_data_stimulus(packet: bytes, time: int, note: str = "data") -> Stimulus:
+    """A data frame: ``cmd = CMD_DATA``, the flow in the packet bytes."""
+    return Stimulus(packet=packet, scalars={"cmd": CMD_DATA, "arg": 0, "time": time}, note=note)
+
+
+def _draw_flows_and_backends(
+    rng: random.Random,
+) -> Tuple[List[Tuple[int, int]], List[int]]:
+    """Twelve random LAN flows, then ``max_backends`` random backend ids."""
+    flows = draw_flows(rng)
+    return flows, rng.sample(range(1, 1 << 16), BENCH_MAX_BACKENDS)
+
+
+def _lb_mixed(
+    rng: random.Random,
+    indices: List[int],
+    keys: Tuple[Sequence[Tuple[int, int]], Sequence[int]],
+    note: str,
+) -> List[Stimulus]:
+    """Turn sampled flow indices into a frame mix covering every class.
+
+    Starts by activating every backend (``reconfig``), then streams
+    LAN-side flows; every 17th frame is truncated (``short``), every 11th
+    carries a non-IPv4 EtherType (``non_ip``), and every 29th is a
+    control frame alternately draining and re-activating a rotating
+    backend — flows bound to the drained backend re-select on their next
+    packet (``backend_drained``).
+    """
+    flows, backends = keys
+    stimuli: List[Stimulus] = [
+        lb_control_stimulus(CMD_ADD, backend, 0, note) for backend in backends
+    ]
+    churn = 0
+    for n, index in enumerate(indices):
+        src_ip, src_port = flows[index]
+        time = n * 3
+        if n % 29 == 14:
+            backend = backends[(churn // 2) % len(backends)]
+            cmd = CMD_REMOVE if churn % 2 == 0 else CMD_ADD
+            churn += 1
+            stimuli.append(lb_control_stimulus(cmd, backend, time, note))
+            continue
+        if n % 17 == 0:
+            packet = nat_frame(src_ip, src_port, WAN_SERVER, 80)[: rng.randrange(0, 37)]
+        elif n % 11 == 0:
+            packet = nat_frame(src_ip, src_port, WAN_SERVER, 80, ethertype=(0x86, 0xDD))
+        else:
+            packet = nat_frame(src_ip, src_port, WAN_SERVER, 80)
+        stimuli.append(lb_data_stimulus(packet, time, note))
+    return stimuli
+
+
+def lb_sampled(family: str, seed: int, packets: int) -> Workload:
+    """The ``uniform`` or ``zipf`` stream over twelve flows and random backends."""
+    stimuli = sampled_stimuli(
+        family, seed, packets, population=12, draw=_draw_flows_and_backends, mix=_lb_mixed
+    )
+    return Workload(family, lb_harness(), stimuli)
+
+
+def lb_adversarial() -> Workload:
+    """The LB worst-case stream: data-plane *and* control-plane bounds.
+
+    Phases (times chosen so nothing expires before the final sweep):
+
+    1. ``ctrl_fill`` — activate ``max_backends`` backends whose permutation
+       parameters all collide: each repopulation performs exactly the
+       worst-case fill count for its backend count, and the last one pins
+       ``lb_tbl.f`` to its declared (proven-tight) bound.
+    2. ``churn`` — drain and re-activate one backend: the removal phase
+       the repopulation contract exists for, and the re-add hits the
+       ``lb_tbl.f`` bound a second time.
+    3. ``fill`` — ``capacity`` flows whose keys collide in the connection
+       table are bound, building one maximal chain.
+    4. ``worst_t`` — a frame from the *last* bound flow: the affinity
+       lookup and refresh walk ``conn.t = capacity`` links.
+    5. ``drained`` — the tail flow's backend is drained, then the tail
+       flow re-selects and rebinds (class ``backend_drained``).
+    6. ``no_backends`` — every remaining backend is drained; a fresh flow
+       (select path) and the tail flow (reselect path) are both dropped.
+    7. ``worst_e`` — time jumps beyond a full wheel revolution past every
+       deadline: one sweep advances ``conn.w = wheel_slots`` slots and
+       expires all ``conn.e = capacity`` affinity entries.
+    """
+    harness = lb_harness()
+    tbl, conn = harness.structures
+    wheel_slots = conn.wheel_slots
+    backends = colliding_backends(BENCH_MAX_BACKENDS, table_size=BENCH_TABLE_SIZE)
+    flows = colliding_keys(BENCH_CAPACITY, buckets=BENCH_CAPACITY)
+    flow_set = set(flows)
+
+    stimuli: List[Stimulus] = [
+        lb_control_stimulus(CMD_ADD, backend, 0, "ctrl_fill") for backend in backends
+    ]
+    stimuli.append(lb_control_stimulus(CMD_REMOVE, backends[0], 0, "churn"))
+    stimuli.append(lb_control_stimulus(CMD_ADD, backends[0], 0, "churn"))
+    for i, key in enumerate(flows, start=1):
+        stimuli.append(
+            lb_data_stimulus(nat_frame(key >> 16, key & 0xFFFF, WAN_SERVER, 80), i, "fill")
+        )
+    tail = flows[-1]
+    last = len(flows)
+    tail_frame = nat_frame(tail >> 16, tail & 0xFFFF, WAN_SERVER, 80)
+    stimuli.append(lb_data_stimulus(tail_frame, last, "worst_t"))
+    # Reconstruct the tail flow's backend on a scratch table (repopulation
+    # is deterministic in the active set) and drain exactly that backend.
+    scratch = MaglevTable(
+        "scratch", table_size=BENCH_TABLE_SIZE, max_backends=BENCH_MAX_BACKENDS
+    )
+    for backend in backends:
+        scratch.add_backend(backend)
+    drained = scratch.select(tail)
+    stimuli.append(lb_control_stimulus(CMD_REMOVE, drained, last, "drained"))
+    stimuli.append(lb_data_stimulus(tail_frame, last, "drained"))
+    for backend in backends:
+        if backend != drained:
+            stimuli.append(lb_control_stimulus(CMD_REMOVE, backend, last, "no_backends"))
+    fresh = next(k for k in range(1, 1 << 16) if k not in flow_set)
+    fresh_frame = nat_frame(fresh >> 16, fresh & 0xFFFF, WAN_SERVER, 80)
+    stimuli.append(lb_data_stimulus(fresh_frame, last, "no_backends"))
+    stimuli.append(lb_data_stimulus(tail_frame, last, "no_backends"))
+    # Latest deadline: the rebind at time `last` plus the timeout.  Jumping
+    # past it by a full revolution makes the sweep advance wheel_slots
+    # slots and visit every deadline slot.
+    doom = last + BENCH_TIMEOUT + wheel_slots + 1
+    stimuli.append(lb_data_stimulus(fresh_frame, doom, "worst_e"))
+    return Workload(
+        "adversarial",
+        harness,
+        tuple(stimuli),
+        expected_worst={
+            conn.pcv_name("t"): BENCH_CAPACITY,
+            conn.pcv_name("e"): BENCH_CAPACITY,
+            conn.pcv_name("w"): wheel_slots,
+            tbl.pcv_name("f"): max_fill_iterations(BENCH_MAX_BACKENDS, BENCH_TABLE_SIZE),
+        },
+    )
+
+
+def _lb_fixed_stream(name: str, frames: List[Stimulus]) -> Workload:
+    """Activate ``max_backends`` fixed, distinct backends, then ``frames``."""
+    stimuli = [
+        lb_control_stimulus(CMD_ADD, 101 + 97 * i, 0, "ctrl") for i in range(BENCH_MAX_BACKENDS)
+    ]
+    return Workload(name, lb_harness(), tuple(stimuli + frames))
+
+
+def lb_scan_sweep(packets: int) -> Workload:
+    """A ZMap-style sweep through the VIP: one fresh flow per frame.
+
+    Every frame selects and binds a brand-new flow (the ``new_flow``
+    path, back to back), churning the connection table without a single
+    repeat — affinity buys nothing under a scanner.
+    """
+    frames = [
+        lb_data_stimulus(nat_frame(0x2D000000 + n, 33333, WAN_SERVER, 80), n, "scan")
+        for n in range(packets)
+    ]
+    return _lb_fixed_stream("scan_sweep", frames)
+
+
+def lb_header_flood(packets: int) -> Workload:
+    """A crafted-header flood: one flow hammering the VIP at line rate.
+
+    The first data frame binds the flow; every later one rides the
+    affinity fast path (``existing_flow``), refreshed far faster than it
+    can expire; every 17th frame is a runt.
+    """
+    frame = nat_frame(0x0A0A0A0A, 55555, WAN_SERVER, 80)
+    frames = [
+        lb_data_stimulus(frame[: n % 12] if n % 17 == 3 else frame, n, "flood")
+        for n in range(packets)
+    ]
+    return _lb_fixed_stream("header_flood", frames)
+
+
+SPEC = NFSpec(
+    name="lb",
+    title="NF: Maglev-style load balancer",
+    smoke_contract=generate_lb_contract,
+    bench_contract=lb_bench_contract,
+    harness=lb_harness,
+    workloads={
+        "uniform": lambda seed, packets: lb_sampled("uniform", seed, packets),
+        "zipf": lambda seed, packets: lb_sampled("zipf", seed, packets),
+        "adversarial": lambda seed, packets: lb_adversarial(),
+        "scan_sweep": lambda seed, packets: lb_scan_sweep(packets),
+        "header_flood": lambda seed, packets: lb_header_flood(packets),
+    },
+    expected_classes=frozenset(
+        {
+            "short",
+            "non_ip",
+            "reconfig",
+            "new_flow",
+            "existing_flow",
+            "backend_drained",
+            "no_backends",
+        }
+    ),
+    secret_sets=(
+        SecretClassSet(
+            "connection affinity",
+            ("new_flow", "existing_flow"),
+            "whether a flow already has backend affinity (connection-table oracle)",
+            LEAK,
+        ),
+    ),
+)

@@ -30,17 +30,23 @@ PCVs: none — the whole point.  There is consequently no bound for an
 adversarial stream to pin; instead the ``header_flood`` workload
 saturates the sketch's counters (pinning every estimate to the
 ``counter_max`` ceiling), exercising the structure's only fast path.
+
+The module registers the monitor with the CLI, the gates and the docs
+check through :data:`SPEC`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+import random
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.audit.ct import CONSTANT_TIME, SecretClassSet
 from repro.core.bolt import Bolt, BoltConfig
 from repro.core.contract import PerformanceContract
 from repro.core.input_class import InputClass
 from repro.core.pcv import PCVRegistry
-from repro.nf.replay import replay_env
+from repro.nf.replay import NFHarness, replay_env
+from repro.nf.workloads import WAN_SERVER, NFSpec, Workload, draw_flows, sampled_stimuli
 from repro.nfil.builder import FunctionBuilder
 from repro.nfil.program import Module
 from repro.nfil.tracer import ExecutionTrace
@@ -49,6 +55,8 @@ from repro.structures import CountMinSketch, StructureModel
 from repro.sym.expr import BV, Const, Sym
 from repro.sym.paths import Path
 from repro.sym.state import SymbolicMemory
+from repro.traffic.generators import Stimulus
+from repro.traffic.packets import nat_frame
 
 __all__ = [
     "FLAG_COLD",
@@ -63,12 +71,17 @@ __all__ = [
     "MONITOR_FUNCTION",
     "PKT_BASE",
     "SKETCH_NAME",
+    "SPEC",
     "build_monitor_module",
     "classify_monitor_path",
     "generate_monitor_contract",
     "make_sketch",
+    "monitor_adversarial",
+    "monitor_harness",
+    "monitor_header_flood",
     "monitor_registry",
     "monitor_replay_env",
+    "monitor_scan_sweep",
     "monitor_symbolic_inputs",
 ]
 
@@ -234,3 +247,146 @@ def monitor_replay_env(
 ) -> Dict[str, int]:
     """Build the symbol assignment a concrete monitor execution matches."""
     return replay_env(packet, PKT_SYM_BYTES, trace, len=length)
+
+
+# --------------------------------------------------------------------------- #
+# Bench harness and workloads
+# --------------------------------------------------------------------------- #
+def monitor_harness() -> NFHarness:
+    """A fresh heavy-hitter monitor wired for replay.
+
+    The sketch's geometry is fixed by this module (the NFIL program and
+    the contract bake in the default depth), so smoke and bench share it.
+    """
+    sketch = make_sketch()
+    return NFHarness(
+        "monitor",
+        build_monitor_module(),
+        MONITOR_FUNCTION,
+        handler=sketch,
+        structures=(sketch,),
+        pkt_base=PKT_BASE,
+        sym_bytes=PKT_SYM_BYTES,
+        scalar_order=("len",),
+    )
+
+
+
+def _monitor_mixed(
+    rng: random.Random, indices: List[int], flows: Sequence[Tuple[int, int]], note: str
+) -> List[Stimulus]:
+    """Turn sampled flow indices into a frame mix.
+
+    Every 17th frame is truncated (``short``), every 11th carries a
+    non-IPv4 EtherType (``non_ip``); the rest count their flow in the
+    sketch (``cold_flow`` until a flow's estimate crosses the threshold,
+    ``hot_flow`` after — which the head of a Zipf stream genuinely does).
+    """
+    stimuli: List[Stimulus] = []
+    for n, index in enumerate(indices):
+        src_ip, src_port = flows[index]
+        if n % 17 == 0:
+            packet = nat_frame(src_ip, src_port, WAN_SERVER, 80)[: rng.randrange(0, 37)]
+        elif n % 11 == 0:
+            packet = nat_frame(src_ip, src_port, WAN_SERVER, 80, ethertype=(0x86, 0xDD))
+        else:
+            packet = nat_frame(src_ip, src_port, WAN_SERVER, 80)
+        stimuli.append(Stimulus(packet=packet, note=note))
+    return stimuli
+
+
+def monitor_sampled(family: str, seed: int, packets: int) -> Workload:
+    """The ``uniform`` or ``zipf`` stream over twelve flows."""
+    stimuli = sampled_stimuli(
+        family, seed, packets, population=12, draw=draw_flows, mix=_monitor_mixed
+    )
+    return Workload(family, monitor_harness(), stimuli)
+
+
+def monitor_adversarial() -> Workload:
+    """The monitor worst-case stream — which *has* no cost worst case.
+
+    The sketch contributes no PCVs, so there is no bound to pin; instead
+    the stream deterministically forces every verdict and the structure's
+    only fast path: one flow is blasted ``counter_max + 1`` times —
+    crossing the threshold (``hot_flow``) and saturating its counters, so
+    the final update takes the saturated path — then a fresh flow passes
+    cold, a runt and a non-IPv4 frame cover the drop classes.
+    """
+    hot_ip, hot_port = 0xC0A80001, 40001  # 192.168.0.1, the heavy hitter
+    hot_frame = nat_frame(hot_ip, hot_port, WAN_SERVER, 80)
+    stimuli: List[Stimulus] = [
+        Stimulus(packet=hot_frame, note="flood") for _ in range(MON_COUNTER_MAX + 1)
+    ]
+    stimuli.append(Stimulus(packet=nat_frame(0x0A000001, 12001, WAN_SERVER, 80), note="cold"))
+    stimuli.append(Stimulus(packet=hot_frame[:9], note="short"))
+    stimuli.append(
+        Stimulus(
+            packet=nat_frame(hot_ip, hot_port, WAN_SERVER, 80, ethertype=(0x86, 0xDD)),
+            note="non_ip",
+        )
+    )
+    return Workload("adversarial", monitor_harness(), tuple(stimuli))
+
+
+def monitor_scan_sweep(packets: int) -> Workload:
+    """A ZMap-style sweep past the monitor: one fresh source per frame.
+
+    No flow repeats, so early estimates stay cold; a long enough sweep
+    still heats the sketch through sheer collision mass — exactly the
+    false-positive behaviour a count-min sketch trades for its constant
+    cost.
+    """
+    stimuli = [
+        Stimulus(packet=nat_frame(0x2D000000 + n, 33333, WAN_SERVER, 80), note="scan")
+        for n in range(packets)
+    ]
+    return Workload("scan_sweep", monitor_harness(), tuple(stimuli))
+
+
+def monitor_header_flood(packets: int) -> Workload:
+    """A crafted-header flood: one flow blasted at line rate.
+
+    The flow crosses the threshold after ``MON_THRESHOLD`` frames and
+    saturates its counters at ``counter_max`` — the flood pins every one
+    of its row counters to the ceiling, after which updates ride the
+    saturated fast path; every 31st frame is a runt.
+    """
+    frame = nat_frame(0xC6336417, 6667, WAN_SERVER, 80)  # the flooding source
+    stimuli = [
+        Stimulus(packet=frame[: n % 12], note="runt")
+        if n % 31 == 0
+        else Stimulus(packet=frame, note="flood")
+        for n in range(packets)
+    ]
+    return Workload("header_flood", monitor_harness(), tuple(stimuli))
+
+
+SPEC = NFSpec(
+    name="monitor",
+    title="NF: heavy-hitter monitor",
+    smoke_contract=generate_monitor_contract,
+    bench_contract=generate_monitor_contract,
+    harness=monitor_harness,
+    workloads={
+        "uniform": lambda seed, packets: monitor_sampled("uniform", seed, packets),
+        "zipf": lambda seed, packets: monitor_sampled("zipf", seed, packets),
+        "adversarial": lambda seed, packets: monitor_adversarial(),
+        "scan_sweep": lambda seed, packets: monitor_scan_sweep(packets),
+        "header_flood": lambda seed, packets: monitor_header_flood(packets),
+    },
+    expected_classes=frozenset({"short", "non_ip", "cold_flow", "hot_flow"}),
+    secret_sets=(
+        # The count-min sketch is constant-time by construction (no PCVs)
+        # and the hot/cold verdict blocks are shape-identical, so the
+        # cycle-delta polynomial is literally zero: timing reveals nothing
+        # about which flows the monitor considers heavy hitters.
+        SecretClassSet(
+            "heavy-hitter status",
+            ("hot_flow", "cold_flow"),
+            "whether a flow is flagged as a heavy hitter (detection-threshold "
+            "probing by an attacker pacing their own flows)",
+            CONSTANT_TIME,
+        ),
+    ),
+)

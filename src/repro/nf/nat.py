@@ -48,21 +48,38 @@ Input classes of the generated contract:
 ``external_miss``      WAN frame to an unleased port: dropped
 =====================  ====================================================
 
-Worst-case workload: :func:`repro.nf.workloads.nat_adversarial` pins all
-six map PCVs to their registry bounds at once — colliding flow keys build
-a maximal ``fwd`` chain, a crafted (colliding) port pool builds a maximal
-``rev`` chain, and a full-revolution time jump expires both tables.
+Worst-case workload: :func:`nat_adversarial` pins all six map PCVs to
+their registry bounds at once — colliding flow keys build a maximal
+``fwd`` chain, a crafted (colliding) port pool builds a maximal ``rev``
+chain, and a full-revolution time jump expires both tables.
+
+The module registers the NAT with the CLI, the gates and the docs check
+through :data:`SPEC`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+import random
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.audit.ct import LEAK, SecretClassSet
 from repro.core.bolt import Bolt, BoltConfig
 from repro.core.contract import PerformanceContract
 from repro.core.input_class import InputClass
 from repro.core.pcv import PCVRegistry
-from repro.nf.replay import replay_env
+from repro.nf.replay import NFHarness, replay_env
+from repro.nf.workloads import (
+    NAT_PUBLIC,
+    WAN_CLIENT,
+    WAN_SERVER,
+    NFSpec,
+    Workload,
+    colliding_keys,
+    colliding_ports,
+    draw_flows,
+    sampled_stimuli,
+)
+from repro.nfil.interpreter import ExternHandler
 from repro.nfil.builder import FunctionBuilder
 from repro.nfil.program import Module
 from repro.nfil.tracer import ExecutionTrace
@@ -72,6 +89,8 @@ from repro.sym import expr as E
 from repro.sym.expr import BV, Const, Sym
 from repro.sym.paths import Path
 from repro.sym.state import SymbolicMemory
+from repro.traffic.generators import Stimulus
+from repro.traffic.packets import nat_frame
 
 __all__ = [
     "DROP_NO_PORTS",
@@ -88,10 +107,13 @@ __all__ = [
     "PORT_BASE",
     "PORTS_NAME",
     "REV_NAME",
+    "SPEC",
     "build_nat_module",
     "classify_nat_path",
     "generate_nat_contract",
     "make_nat_tables",
+    "nat_adversarial",
+    "nat_harness",
     "nat_registry",
     "nat_replay_env",
     "nat_symbolic_inputs",
@@ -117,6 +139,16 @@ MAX_PORTS = 64
 
 #: First port of the default lease pool (the IANA dynamic-port floor).
 PORT_BASE = 49152
+
+#: Bench geometry: flow-table capacity and entry timeout (ticks).
+BENCH_CAPACITY = 16
+BENCH_TIMEOUT = 50
+#: The lease pool of the sampled, scan and flood streams: ``4 * capacity``
+#: sequential ports.  Leases are never released back (the allocator is a
+#: lease-for-bench-lifetime pool), so expired flows that return consume
+#: fresh ports — a head-heavy Zipf stream or a source sweep can genuinely
+#: run the pool dry, exercising ``no_ports`` under realistic traffic.
+BENCH_POOL = range(PORT_BASE, PORT_BASE + 4 * BENCH_CAPACITY)
 
 #: Structure instance names (also the PCV namespaces: ``fwd.t``, ``rev.t``).
 FWD_NAME = "fwd"
@@ -345,3 +377,242 @@ def nat_replay_env(
 ) -> Dict[str, int]:
     """Build the symbol assignment a concrete NAT execution matches."""
     return replay_env(packet, PKT_SYM_BYTES, trace, len=length, in_port=in_port, time=time)
+
+
+# --------------------------------------------------------------------------- #
+# Bench harness and workloads
+# --------------------------------------------------------------------------- #
+def nat_harness(*, pool: Optional[Iterable[int]] = None) -> NFHarness:
+    """A fresh VigNAT-style NAT at bench geometry, wired for replay.
+
+    The handler merges the three structure instances (forward table,
+    reverse table, port allocator) into one dispatch table — the merge
+    (and :class:`NFHarness` itself) rejects ambiguous extern manglings.
+    ``pool`` overrides the default ``capacity``-port lease pool.
+    """
+    fwd, rev, ports = make_nat_tables(BENCH_CAPACITY, BENCH_TIMEOUT, pool=pool)
+    handler = ExternHandler().merge(fwd).merge(rev).merge(ports)
+    return NFHarness(
+        "nat",
+        build_nat_module(),
+        NAT_FUNCTION,
+        handler=handler,
+        structures=(fwd, rev, ports),
+        pkt_base=PKT_BASE,
+        sym_bytes=PKT_SYM_BYTES,
+        scalar_order=("len", "in_port", "time"),
+    )
+
+
+
+def _nat_mixed(
+    rng: random.Random, indices: List[int], flows: Sequence[Tuple[int, int]], note: str
+) -> List[Stimulus]:
+    """Turn sampled flow indices into a frame mix covering every class.
+
+    Most frames are LAN→WAN traffic from the sampled flow (new or
+    existing); every 17th is truncated (``short``), every 11th carries a
+    non-IPv4 EtherType (``non_ip``), and every 5th is WAN→LAN probing a
+    pool port (``external_hit`` once the lease exists, ``external_miss``
+    before or after it).
+    """
+    stimuli: List[Stimulus] = []
+    for n, index in enumerate(indices):
+        src_ip, src_port = flows[index]
+        scalars = {"in_port": LAN_PORT, "time": n * 3}
+        if n % 17 == 0:
+            packet = nat_frame(src_ip, src_port, WAN_SERVER, 80)[: rng.randrange(0, 37)]
+        elif n % 11 == 0:
+            packet = nat_frame(src_ip, src_port, WAN_SERVER, 80, ethertype=(0x86, 0xDD))
+        elif n % 5 == 0:
+            packet = nat_frame(WAN_CLIENT, 443, NAT_PUBLIC, BENCH_POOL[index % len(BENCH_POOL)])
+            scalars["in_port"] = 1 + rng.randrange(3)
+        else:
+            packet = nat_frame(src_ip, src_port, WAN_SERVER, 80)
+        stimuli.append(Stimulus(packet=packet, scalars=scalars, note=note))
+    return stimuli
+
+
+def nat_sampled(family: str, seed: int, packets: int) -> Workload:
+    """The ``uniform`` or ``zipf`` stream over twelve LAN flows."""
+    stimuli = sampled_stimuli(
+        family, seed, packets, population=12, draw=draw_flows, mix=_nat_mixed
+    )
+    return Workload(family, nat_harness(pool=BENCH_POOL), stimuli)
+
+
+def nat_adversarial() -> Workload:
+    """The NAT worst-case stream: both instances' PCVs driven to bound.
+
+    Phases (times chosen so nothing expires before the final sweep):
+
+    1. ``fill`` — ``capacity`` internal flows whose keys collide in the
+       forward table are established; the allocator's pool is crafted so
+       the leased ports *also* collide in the reverse table.  Both tables
+       end up holding one maximal chain each, and the pool is exhausted.
+    2. ``worst_t`` — a frame from the *last* established flow: the lookup
+       and refresh walk ``fwd.t = capacity`` links, and refreshing its
+       lease (the last port inserted) walks ``rev.t = capacity`` links —
+       both ``t`` bounds pinned by one packet, separately observable only
+       because the PCVs are instance-qualified.
+    3. ``no_ports`` — a brand-new flow finds the pool exhausted: dropped.
+    4. ``external_hit`` — a WAN frame to the first lease: rewritten and
+       forwarded.
+    5. ``worst_e`` — time jumps beyond a full wheel revolution past every
+       deadline: one sweep advances ``wheel_slots`` slots and expires all
+       ``capacity`` entries in *each* table (``fwd.w``/``fwd.e`` and
+       ``rev.w``/``rev.e`` at their bounds); the frame itself probes an
+       unleased port and is dropped (``external_miss``).
+    """
+    capacity = BENCH_CAPACITY
+    pool = colliding_ports(capacity)
+    harness = nat_harness(pool=pool)
+    fwd, rev, _ = harness.structures
+    wheel_slots = fwd.wheel_slots
+    flows = colliding_keys(capacity, buckets=capacity)
+    flow_set = set(flows)
+    stimuli: List[Stimulus] = [
+        Stimulus(
+            packet=nat_frame(key >> 16, key & 0xFFFF, WAN_SERVER, 80),
+            scalars={"in_port": LAN_PORT, "time": i},
+            note="fill",
+        )
+        for i, key in enumerate(flows)
+    ]
+    tail = flows[-1]
+    stimuli.append(
+        Stimulus(
+            packet=nat_frame(tail >> 16, tail & 0xFFFF, WAN_SERVER, 80),
+            scalars={"in_port": LAN_PORT, "time": capacity},
+            note="worst_t",
+        )
+    )
+    fresh = next(k for k in range(1, 1 << 16) if k not in flow_set)
+    stimuli.append(
+        Stimulus(
+            packet=nat_frame(fresh >> 16, fresh & 0xFFFF, WAN_SERVER, 80),
+            scalars={"in_port": LAN_PORT, "time": capacity},
+            note="no_ports",
+        )
+    )
+    stimuli.append(
+        Stimulus(
+            packet=nat_frame(WAN_CLIENT, 443, NAT_PUBLIC, pool[0]),
+            scalars={"in_port": 1, "time": capacity},
+            note="external_hit",
+        )
+    )
+    # Latest deadline: the refreshes at time `capacity` plus the timeout.
+    # Jumping past it by a full revolution makes each table's sweep
+    # advance wheel_slots slots and visit every deadline slot.
+    doom = capacity + BENCH_TIMEOUT + wheel_slots + 1
+    unleased = next(p for p in range(1, 1 << 16) if p not in set(pool))
+    stimuli.append(
+        Stimulus(
+            packet=nat_frame(WAN_CLIENT, 443, NAT_PUBLIC, unleased),
+            scalars={"in_port": 1, "time": doom},
+            note="worst_e",
+        )
+    )
+    return Workload(
+        "adversarial",
+        harness,
+        tuple(stimuli),
+        expected_worst={
+            fwd.pcv_name("t"): capacity,
+            fwd.pcv_name("e"): capacity,
+            fwd.pcv_name("w"): wheel_slots,
+            rev.pcv_name("t"): capacity,
+            rev.pcv_name("e"): capacity,
+            rev.pcv_name("w"): wheel_slots,
+        },
+    )
+
+
+def nat_scan_sweep(packets: int) -> Workload:
+    """A ZMap-style sweep from inside: one fresh internal flow per frame.
+
+    Ports are leased for the bench lifetime, so a sweep of distinct
+    sources drains the ``4 * capacity`` pool front to back and every
+    admission after that is ``no_ports`` — pool exhaustion under a
+    realistic scanner, not a crafted collision.
+    """
+    stimuli = [
+        Stimulus(
+            packet=nat_frame(0x2D000000 + n, 33333, WAN_SERVER, 80),
+            scalars={"in_port": LAN_PORT, "time": n},
+            note="scan",
+        )
+        for n in range(packets)
+    ]
+    return Workload("scan_sweep", nat_harness(pool=BENCH_POOL), tuple(stimuli))
+
+
+def nat_header_flood(packets: int) -> Workload:
+    """A WAN-side port-scan flood against the NAT's public address.
+
+    One internal flow establishes a lease, then the flood probes the
+    public ports: every 5th probe hits the lease (refreshing it, so it
+    never expires mid-flood), the rest probe unleased ports and are
+    dropped; every 17th frame is a runt.
+    """
+    pool = BENCH_POOL
+    inside_ip, inside_port = 0x0A000063, 40000  # 10.0.0.99, the one real flow
+    stimuli = [
+        Stimulus(
+            packet=nat_frame(inside_ip, inside_port, WAN_SERVER, 80),
+            scalars={"in_port": LAN_PORT, "time": 0},
+            note="lease",
+        )
+    ]
+    for n in range(1, packets):
+        scalars = {"in_port": 1, "time": n}
+        if n % 17 == 0:
+            packet = nat_frame(WAN_CLIENT, 443, NAT_PUBLIC, pool[0])[: n % 12]
+        elif n % 5 == 0:
+            packet = nat_frame(WAN_CLIENT, 443, NAT_PUBLIC, pool[0])
+        else:
+            packet = nat_frame(WAN_CLIENT, 443, NAT_PUBLIC, pool[-1] + 1 + (n % 512))
+        stimuli.append(Stimulus(packet=packet, scalars=scalars, note="flood"))
+    return Workload("header_flood", nat_harness(pool=pool), tuple(stimuli))
+
+
+SPEC = NFSpec(
+    name="nat",
+    title="NF: VigNAT-style NAT",
+    smoke_contract=generate_nat_contract,
+    bench_contract=lambda: generate_nat_contract(BENCH_CAPACITY, BENCH_TIMEOUT),
+    harness=nat_harness,
+    workloads={
+        "uniform": lambda seed, packets: nat_sampled("uniform", seed, packets),
+        "zipf": lambda seed, packets: nat_sampled("zipf", seed, packets),
+        "adversarial": lambda seed, packets: nat_adversarial(),
+        "scan_sweep": lambda seed, packets: nat_scan_sweep(packets),
+        "header_flood": lambda seed, packets: nat_header_flood(packets),
+    },
+    expected_classes=frozenset(
+        {
+            "short",
+            "non_ip",
+            "internal_new",
+            "internal_existing",
+            "no_ports",
+            "external_hit",
+            "external_miss",
+        }
+    ),
+    secret_sets=(
+        SecretClassSet(
+            "external port scan",
+            ("external_hit", "external_miss"),
+            "whether an external port maps to an internal host (NAT state oracle)",
+            LEAK,
+        ),
+        SecretClassSet(
+            "internal flow novelty",
+            ("internal_new", "internal_existing"),
+            "whether an internal flow was already active (traffic-pattern recovery)",
+            LEAK,
+        ),
+    ),
+)

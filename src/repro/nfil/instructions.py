@@ -66,9 +66,6 @@ class Instruction:
 
     __slots__ = ()
 
-    #: cost-model category, overridden per concrete instruction class.
-    category = "alu"
-
     def operands(self) -> Tuple[Operand, ...]:
         """Return the operands read by this instruction."""
         return ()
@@ -89,7 +86,6 @@ class ConstInstr(Instruction):
     dest: str
     value: int
 
-    category = "const"
 
     def defines(self) -> Optional[str]:
         return self.dest
@@ -111,14 +107,6 @@ class BinOp(Instruction):
         if self.op not in BINARY_OPS:
             raise ValueError(f"unknown binary op {self.op!r}")
 
-    @property
-    def category(self) -> str:  # type: ignore[override]
-        if self.op == "mul":
-            return "mul"
-        if self.op in ("udiv", "urem"):
-            return "div"
-        return "alu"
-
     def operands(self) -> Tuple[Operand, ...]:
         return (self.a, self.b)
 
@@ -138,7 +126,6 @@ class Cmp(Instruction):
     a: Operand
     b: Operand
 
-    category = "cmp"
 
     def __post_init__(self) -> None:
         if self.op not in CMP_OPS:
@@ -163,7 +150,6 @@ class Select(Instruction):
     a: Operand
     b: Operand
 
-    category = "select"
 
     def operands(self) -> Tuple[Operand, ...]:
         return (self.cond, self.a, self.b)
@@ -183,7 +169,6 @@ class Load(Instruction):
     addr: Operand
     size: int = 8
 
-    category = "load"
 
     def __post_init__(self) -> None:
         if self.size not in ACCESS_SIZES:
@@ -207,7 +192,6 @@ class Store(Instruction):
     value: Operand
     size: int = 8
 
-    category = "store"
 
     def __post_init__(self) -> None:
         if self.size not in ACCESS_SIZES:
@@ -228,7 +212,6 @@ class Br(Instruction):
     then_label: str
     else_label: str
 
-    category = "branch"
 
     def operands(self) -> Tuple[Operand, ...]:
         return (self.cond,)
@@ -246,7 +229,6 @@ class Jmp(Instruction):
 
     label: str
 
-    category = "jump"
 
     def is_terminator(self) -> bool:
         return True
@@ -263,7 +245,6 @@ class Call(Instruction):
     callee: str
     args: Tuple[Operand, ...] = field(default_factory=tuple)
 
-    category = "call"
 
     def operands(self) -> Tuple[Operand, ...]:
         return self.args
@@ -283,7 +264,6 @@ class Ret(Instruction):
 
     value: Optional[Operand] = None
 
-    category = "ret"
 
     def operands(self) -> Tuple[Operand, ...]:
         return (self.value,) if self.value is not None else ()

@@ -266,7 +266,7 @@ class Interpreter:
                 )
             instruction = block.instructions[frame.index]
             frame.index += 1
-            trace.record_instruction(self._category(instruction))
+            trace.record_instruction()
             returned = self._step(instruction, frame, frames, memory, trace)
             if returned is not _NOT_RETURNED:
                 return returned, trace
@@ -275,10 +275,6 @@ class Interpreter:
     # ------------------------------------------------------------------ #
     # Instruction dispatch
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _category(instruction: Instruction) -> str:
-        return instruction.category
-
     def _value(self, operand: Operand, frame: _Frame) -> int:
         if isinstance(operand, Imm):
             return operand.value

@@ -74,7 +74,6 @@ class ExecutionTrace:
 
     def __init__(self, *, record_accesses: bool = True) -> None:
         self.instructions: int = 0
-        self.category_counts: Dict[str, int] = {}
         self.mem_reads: int = 0
         self.mem_writes: int = 0
         self.accesses: List[MemAccess] = []
@@ -84,10 +83,9 @@ class ExecutionTrace:
     # ------------------------------------------------------------------ #
     # Recording (called by the interpreter)
     # ------------------------------------------------------------------ #
-    def record_instruction(self, category: str) -> None:
+    def record_instruction(self) -> None:
         """Count one executed stateless NFIL instruction."""
         self.instructions += 1
-        self.category_counts[category] = self.category_counts.get(category, 0) + 1
 
     def record_access(self, addr: int, size: int, kind: str, function: str = "") -> None:
         """Count one stateless memory access."""

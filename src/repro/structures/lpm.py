@@ -25,7 +25,7 @@ address bit, a bound fixed by IPv4 itself rather than by configuration.
 
 **Worst case.**  ``d = 33`` requires a FIB with a route chain covering
 every prefix length 1–32 along the looked-up address —
-:func:`repro.nf.workloads.router_fib_routes` installs exactly that chain
+:func:`repro.nf.router.router_fib_routes` installs exactly that chain
 and the router's adversarial stream routes its tip, so the bound is
 provably attained (not just declared).  A miss below an empty root costs
 ``d = 1``; the miss fast path charges one instruction under the formula

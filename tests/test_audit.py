@@ -11,15 +11,17 @@ from fractions import Fraction
 import pytest
 
 from repro import cli
-from repro.audit import SECRET_CLASS_SETS, SecretClassSet, audit_contract
-from repro.audit.ct import CONSTANT_TIME, LEAK
+from repro.audit import CONSTANT_TIME, LEAK, SecretClassSet, audit_contract
+from repro.registry import NF_MATRIX
+
+SPECS = {spec.name: spec for spec in NF_MATRIX}
 
 
 def _audit(nf_name, gate_targets, secret_sets=None):
     contract, structures = gate_targets[nf_name]
     return audit_contract(
         contract,
-        secret_sets if secret_sets is not None else SECRET_CLASS_SETS[nf_name],
+        secret_sets if secret_sets is not None else SPECS[nf_name].secret_sets,
         models=cli._bench_models(),
         structures=structures,
     )
@@ -103,8 +105,8 @@ def test_monitor_heavy_hitter_proof_is_a_zero_polynomial(gate_targets):
 
 def test_every_declared_expectation_matches_the_computed_verdict(gate_targets):
     """The full registry agrees with the code — what `ct-audit` gates on."""
-    for nf_name, secret_sets in SECRET_CLASS_SETS.items():
-        for finding in _audit(nf_name, gate_targets, secret_sets):
+    for nf_name, spec in SPECS.items():
+        for finding in _audit(nf_name, gate_targets, spec.secret_sets):
             assert finding.matches_expectation, (
                 f"{nf_name}/{finding.secret_set.name}: computed "
                 f"{finding.verdict}, declared {finding.secret_set.expectation}"
@@ -137,8 +139,13 @@ def test_secret_class_set_validation():
         SecretClassSet("bad", ("a", "b"), "s", "maybe")
 
 
-def test_registry_covers_every_nf():
-    assert set(SECRET_CLASS_SETS) == {spec.name for spec in cli.NF_MATRIX}
+def test_registry_covers_every_nf(gate_targets):
+    """Each NF's registration is self-consistent: its secret classes are
+    classes it promises to cover, which its bench contract really has."""
+    for spec in NF_MATRIX:
+        contract, _ = gate_targets[spec.name]
+        secret = {name for secret_set in spec.secret_sets for name in secret_set.classes}
+        assert secret <= spec.expected_classes <= set(contract.class_names()), spec.name
 
 
 def test_render_names_the_leak_in_human_terms(gate_targets):

@@ -136,8 +136,8 @@ def test_simulated_measure_prices_observed_levels():
         spec, l1=CacheGeometry(sets=1, ways=1), llc=CacheGeometry(sets=1, ways=2)
     )
     trace = ExecutionTrace(record_accesses=True)
-    trace.record_instruction("alu")
-    trace.record_instruction("alu")
+    trace.record_instruction()
+    trace.record_instruction()
     for addr in (0, 0, 64, 0):
         trace.record_access(addr, 8, "load")
     # Levels served: dram, l1, dram, llc (see the hierarchy test above).

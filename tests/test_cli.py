@@ -15,7 +15,9 @@ import pytest
 
 from repro import cli
 from repro.core import Metric, PerfExpr
-from repro.nf.workloads import bridge_adversarial
+from repro.core.bolt import Bolt
+from repro.nf.bridge import bridge_adversarial
+from repro.nf.workloads import Workload
 from repro.structures import ChainingHashMap, OpSpec
 from repro.sym.solver import Solver
 
@@ -89,14 +91,7 @@ def test_smoke_exit_code_reflects_seeded_failures(monkeypatch, capsys, quiet_nf_
 
 def test_nf_contracts_flag_a_lost_input_class(monkeypatch, capsys):
     bridge = next(spec for spec in cli.NF_MATRIX if spec.name == "bridge")
-    doctored = cli.NFSpec(
-        bridge.name,
-        bridge.title,
-        bridge.smoke_contract,
-        bridge.bench_contract,
-        bridge.bench_workloads,
-        bridge.expected_classes | {"jumbo"},
-    )
+    doctored = replace(bridge, expected_classes=bridge.expected_classes | {"jumbo"})
     failures = cli.run_nf_contracts([doctored])
     printed = capsys.readouterr().out
     assert failures == 1
@@ -119,22 +114,13 @@ def test_bench_exits_nonzero_when_a_worst_case_is_missed(monkeypatch, capsys, tm
     """Seed an unreachable adversarial bound: the bench must go red."""
     bridge = next(spec for spec in cli.NF_MATRIX if spec.name == "bridge")
 
-    def sabotaged_workloads(seed, packets):
-        workload = bridge_adversarial(capacity=cli.BENCH_CAPACITY, timeout=cli.BENCH_TIMEOUT)
+    def sabotaged_adversarial(seed, packets):
+        workload = bridge_adversarial()
         impossible = {pcv: bound + 1 for pcv, bound in workload.expected_worst.items()}
-        from repro.nf.workloads import Workload
+        return Workload(workload.name, workload.harness, workload.stimuli, impossible)
 
-        return [
-            Workload(workload.name, workload.harness, workload.stimuli, impossible)
-        ]
-
-    doctored = cli.NFSpec(
-        bridge.name,
-        bridge.title,
-        bridge.smoke_contract,
-        bridge.bench_contract,
-        sabotaged_workloads,
-        frozenset(),
+    doctored = replace(
+        bridge, workloads={"adversarial": sabotaged_adversarial}, expected_classes=frozenset()
     )
     monkeypatch.setattr(cli, "NF_MATRIX", (doctored,))
     monkeypatch.setattr(cli, "GRAPH_MATRIX", ())  # keep the red-path run fast
@@ -272,13 +258,11 @@ def test_ct_audit_strict_fails_on_declared_leaks(capsys):
 def test_ct_audit_flags_an_expectation_mismatch(monkeypatch, capsys):
     from repro import audit
 
-    doctored = dict(audit.SECRET_CLASS_SETS)
-    doctored["bridge"] = (
-        audit.SecretClassSet(
-            "mac-table membership", ("hit", "miss"), "secret", "constant_time"
-        ),
+    bridge = next(spec for spec in cli.NF_MATRIX if spec.name == "bridge")
+    wrong = audit.SecretClassSet(
+        "mac-table membership", ("hit", "miss"), "secret", "constant_time"
     )
-    monkeypatch.setattr(cli, "SECRET_CLASS_SETS", doctored)
+    monkeypatch.setattr(cli, "NF_MATRIX", (replace(bridge, secret_sets=(wrong,)),))
     assert cli.main(["ct-audit", "--nf", "bridge"]) == 1
     printed = capsys.readouterr().out
     assert "** UNEXPECTED **" in printed
@@ -288,3 +272,73 @@ def test_ct_audit_flags_an_expectation_mismatch(monkeypatch, capsys):
 def test_ct_audit_unknown_nf_exits_2(capsys):
     assert cli.main(["ct-audit", "--nf", "dpi"]) == 2
     assert "unknown NFs" in capsys.readouterr().out
+
+
+# --------------------------------------------------------------------------- #
+# Build counts: every contract and workload is built once, where it is used
+# --------------------------------------------------------------------------- #
+@pytest.fixture
+def counted_bridge(monkeypatch):
+    """Register only the bridge, with counting workload factories and Bolt.
+
+    Returns ``(builds, generations)``: the ``(workload name, seed)`` of
+    every workload built, and one entry per ``Bolt.generate`` call.
+    """
+    bridge = next(spec for spec in cli.NF_MATRIX if spec.name == "bridge")
+    builds = []
+    generations = []
+
+    def counted(name, build):
+        def factory(seed, packets):
+            builds.append((name, seed))
+            return build(seed, packets)
+
+        return factory
+
+    workloads = {name: counted(name, build) for name, build in bridge.workloads.items()}
+    monkeypatch.setattr(cli, "NF_MATRIX", (replace(bridge, workloads=workloads),))
+    generate = Bolt.generate
+
+    def counted_generate(self, *args, **kwargs):
+        generations.append(self)
+        return generate(self, *args, **kwargs)
+
+    monkeypatch.setattr(Bolt, "generate", counted_generate)
+    return builds, generations
+
+
+def test_bench_builds_the_contract_and_each_workload_once(counted_bridge, tmp_path):
+    builds, generations = counted_bridge
+    output = tmp_path / "BENCH_eval.json"
+    argv = ["bench", "--nf", "bridge", "--packets", "20", "--workers", "1"]
+    assert cli.main(argv + ["--output", str(output)]) == 0
+    assert len(generations) == 1
+    names = [name for name, _ in builds]
+    assert sorted(names) == sorted(set(names)) == sorted(cli.NF_MATRIX[0].workloads)
+
+
+@pytest.mark.parametrize("command", ["contract-diff", "ct-audit"])
+def test_gates_build_only_the_tail_calibration_stream(counted_bridge, command):
+    builds, _ = counted_bridge
+    argv = [command, "--nf", "bridge"]
+    if command == "contract-diff":
+        golden = Path(cli.__file__).resolve().parents[2] / "tests" / "golden"
+        argv += ["--golden", str(golden)]
+    assert cli.main(argv) == 0
+    tails_seed = cli._cell_seed(cli.BENCH_SEED, "bridge", "<tails>")
+    assert builds == [("uniform", tails_seed)]
+
+
+# --------------------------------------------------------------------------- #
+# Argument validation
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize(
+    "command, flag", [("bench", "--packets"), ("bench", "--workers"), ("graph", "--packets")]
+)
+def test_counts_below_one_are_rejected_at_parse_time(command, flag, value, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, flag, value])
+    assert exit_info.value.code == 2
+    error = capsys.readouterr().err
+    assert f"argument {flag}" in error and f"got {value}" in error

@@ -24,20 +24,17 @@ from repro.nf.firewall import (
     LAN_PORT,
     MIN_FW_FRAME,
     PKT_BASE,
+    SPEC,
     build_firewall_module,
-    firewall_replay_env,
-    generate_firewall_contract,
-    make_firewall_state,
-)
-from repro.nf.workloads import (
-    WAN_CLIENT,
-    WAN_SERVER,
     firewall_adversarial,
     firewall_harness,
     firewall_header_flood,
+    firewall_replay_env,
     firewall_scan_sweep,
-    firewall_workloads,
+    generate_firewall_contract,
+    make_firewall_state,
 )
+from repro.nf.workloads import WAN_CLIENT, WAN_SERVER
 from repro.nfil import ExternHandler, Interpreter, Memory
 from repro.traffic import Replayer, Stimulus, nat_frame
 
@@ -217,7 +214,7 @@ def test_contract_bounds_150_replayed_packets(contract):
 def test_adversarial_pins_every_conn_table_bound(contract):
     """The acceptance criterion: the adversarial stream pins ``fw_conn.t``,
     ``fw_conn.e`` and ``fw_conn.w`` exactly at their registry bounds."""
-    workload = firewall_adversarial(capacity=CAPACITY, timeout=TIMEOUT)
+    workload = firewall_adversarial()
     result = Replayer(workload.harness, contract).replay(workload.stimuli)
     assert result.ok, result.violations[:3]
     registry = contract.registry
@@ -242,7 +239,7 @@ def test_scan_sweep_exhausts_the_connection_table(contract):
     """A ZMap-style source sweep drains the slot pool front to back: the
     first ``capacity`` admissions succeed, everything after is
     ``conn_full`` — exhaustion under realistic scanner traffic."""
-    workload = firewall_scan_sweep(capacity=CAPACITY, timeout=TIMEOUT, packets=150)
+    workload = firewall_scan_sweep(150)
     result = Replayer(workload.harness, contract).replay(workload.stimuli)
     assert result.ok, result.violations[:3]
     assert set(result.classes_seen()) == {"outbound_new", "conn_full"}
@@ -254,7 +251,7 @@ def test_scan_sweep_exhausts_the_connection_table(contract):
 
 
 def test_header_flood_hammers_the_default_deny(contract):
-    workload = firewall_header_flood(capacity=CAPACITY, timeout=TIMEOUT, packets=150)
+    workload = firewall_header_flood(150)
     result = Replayer(workload.harness, contract).replay(workload.stimuli)
     assert result.ok, result.violations[:3]
     assert set(result.classes_seen()) == {"short", "denied", "unsolicited"}
@@ -267,7 +264,8 @@ def test_header_flood_hammers_the_default_deny(contract):
 
 def test_workload_streams_cover_every_contract_class(contract):
     classes = set()
-    for workload in firewall_workloads(packets=150):
+    for build in SPEC.workloads.values():
+        workload = build(2019, 150)
         result = Replayer(workload.harness, contract).replay(workload.stimuli)
         assert result.ok, result.violations[:3]
         classes.update(result.classes_seen())
@@ -275,7 +273,7 @@ def test_workload_streams_cover_every_contract_class(contract):
 
 
 def test_harness_scalar_order_and_defaults():
-    harness = firewall_harness(CAPACITY, TIMEOUT)
+    harness = firewall_harness()
     assert harness.scalar_order == ("len", "in_port", "time")
     stimulus = Stimulus(
         packet=nat_frame(LAN_HOST, 40000, WAN_SERVER, 80),

@@ -7,8 +7,8 @@ import pytest
 from repro.core import ContractEntry, InputClass, Metric, PerfExpr, PerformanceContract
 from repro.core.pcv import PCV, PCVRegistry
 from repro.hw import ConservativeModel, HwSpec, RealisticModel
-from repro.nf.workloads import bridge_harness, bridge_workloads
-from repro.nf.bridge import generate_bridge_contract
+from repro.nf import bridge
+from repro.nf.bridge import bridge_harness, generate_bridge_contract
 from repro.nfil.tracer import ExecutionTrace
 from repro.structures import ChainingHashMap
 from repro.traffic import Replayer
@@ -92,7 +92,7 @@ def test_measure_prices_a_hand_built_trace():
     table = ChainingHashMap("flow_map", capacity=8)
     trace = ExecutionTrace()
     for _ in range(10):
-        trace.record_instruction("binop")
+        trace.record_instruction()
     trace.record_access(0x1000, 4, "load")
     trace.record_access(0x1000, 4, "store")
     trace.record_extern("flow_map_get", (7,), 3, instructions=11, memory_accesses=4, pcvs={"t": 1})
@@ -148,7 +148,8 @@ def test_bridge_replay_measured_within_predicted_for_both_models():
     the model-priced trace is bounded by the model-priced contract entry."""
     contract = generate_bridge_contract(16, 50)
     models = (ConservativeModel(SPEC), RealisticModel(SPEC))
-    for workload in bridge_workloads(packets=60):
+    for build in bridge.SPEC.workloads.values():
+        workload = build(2019, 60)
         result = Replayer(workload.harness, contract, models=models).replay(
             workload.stimuli, workload=workload.name
         )
@@ -159,10 +160,10 @@ def test_bridge_replay_measured_within_predicted_for_both_models():
 
 
 def test_conservative_never_cheaper_than_realistic_on_a_trace():
-    harness = bridge_harness(16, 50)
+    harness = bridge_harness()
     contract = generate_bridge_contract(16, 50)
     conservative, realistic = ConservativeModel(SPEC), RealisticModel(SPEC)
-    workload = bridge_workloads(packets=40)[0]
+    workload = bridge.SPEC.workloads["uniform"](2019, 40)
     result = Replayer(
         workload.harness, contract, models=(conservative, realistic)
     ).replay(workload.stimuli)

@@ -23,12 +23,14 @@ from repro.nf.lb import (
     LB_FUNCTION,
     MIN_LB_FRAME,
     PKT_BASE,
+    SPEC,
     build_lb_module,
     generate_lb_contract,
+    lb_adversarial,
+    lb_harness,
     lb_replay_env,
     make_lb_state,
 )
-from repro.nf.workloads import lb_adversarial, lb_harness, lb_workloads
 from repro.nfil import ExternHandler, Interpreter, Memory
 from repro.structures import max_fill_iterations
 from repro.traffic import Replayer, Stimulus, nat_frame
@@ -218,9 +220,7 @@ def test_contract_bounds_100_replayed_packets(contract):
 def test_adversarial_pins_data_and_control_plane_bounds(contract):
     """The acceptance criterion: the adversarial stream pins the
     connection-table bounds AND the repopulation bound exactly."""
-    workload = lb_adversarial(
-        capacity=CAPACITY, timeout=TIMEOUT, table_size=TABLE_SIZE, max_backends=MAX_BACKENDS
-    )
+    workload = lb_adversarial()
     result = Replayer(workload.harness, contract).replay(workload.stimuli)
     assert result.ok, result.violations[:3]
     registry = contract.registry
@@ -246,7 +246,8 @@ def test_adversarial_pins_data_and_control_plane_bounds(contract):
 
 def test_workload_streams_cover_every_contract_class(contract):
     classes = set()
-    for workload in lb_workloads(packets=120):
+    for build in SPEC.workloads.values():
+        workload = build(2019, 120)
         result = Replayer(workload.harness, contract).replay(workload.stimuli)
         assert result.ok, result.violations[:3]
         classes.update(result.classes_seen())
@@ -254,7 +255,7 @@ def test_workload_streams_cover_every_contract_class(contract):
 
 
 def test_harness_scalar_order_and_defaults():
-    harness = lb_harness(CAPACITY, TIMEOUT)
+    harness = lb_harness()
     assert harness.scalar_order == ("len", "cmd", "arg", "time")
     stimulus = Stimulus(
         packet=nat_frame(LAN_HOST, 40000, VIP, 80),

@@ -23,19 +23,17 @@ from repro.nf.monitor import (
     MON_THRESHOLD,
     MONITOR_FUNCTION,
     PKT_BASE,
+    SPEC,
     build_monitor_module,
     generate_monitor_contract,
     make_sketch,
-    monitor_replay_env,
-)
-from repro.nf.workloads import (
-    WAN_SERVER,
     monitor_adversarial,
     monitor_harness,
     monitor_header_flood,
+    monitor_replay_env,
     monitor_scan_sweep,
-    monitor_workloads,
 )
+from repro.nf.workloads import WAN_SERVER
 from repro.nfil import Interpreter, Memory
 from repro.traffic import Replayer, Stimulus, nat_frame
 
@@ -173,7 +171,7 @@ def test_adversarial_saturates_the_hot_flow_and_covers_every_class(contract):
 def test_header_flood_pins_every_counter_to_the_ceiling(contract):
     """The satellite's saturation assertion: enough flood frames pin the
     flow's estimate at ``counter_max`` exactly — never past it."""
-    workload = monitor_header_flood(packets=300)
+    workload = monitor_header_flood(300)
     result = Replayer(workload.harness, contract).replay(workload.stimuli)
     assert result.ok, result.violations[:3]
     assert "hot_flow" in result.classes_seen()
@@ -184,7 +182,7 @@ def test_header_flood_pins_every_counter_to_the_ceiling(contract):
 
 
 def test_scan_sweep_of_distinct_sources_stays_cold(contract):
-    workload = monitor_scan_sweep(packets=150)
+    workload = monitor_scan_sweep(150)
     result = Replayer(workload.harness, contract).replay(workload.stimuli)
     assert result.ok, result.violations[:3]
     # No flow repeats, so no estimate approaches the threshold.
@@ -193,7 +191,8 @@ def test_scan_sweep_of_distinct_sources_stays_cold(contract):
 
 def test_workload_streams_cover_every_contract_class(contract):
     classes = set()
-    for workload in monitor_workloads(packets=150):
+    for build in SPEC.workloads.values():
+        workload = build(2019, 150)
         result = Replayer(workload.harness, contract).replay(workload.stimuli)
         assert result.ok, result.violations[:3]
         classes.update(result.classes_seen())

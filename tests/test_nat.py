@@ -23,10 +23,12 @@ from repro.nf.nat import (
     PORT_BASE,
     build_nat_module,
     generate_nat_contract,
+    SPEC,
     make_nat_tables,
+    nat_adversarial,
+    nat_harness,
     nat_replay_env,
 )
-from repro.nf.workloads import nat_adversarial, nat_harness, nat_workloads
 from repro.nfil import ExternHandler, Interpreter, Memory
 from repro.traffic import Replayer, nat_frame
 
@@ -219,7 +221,7 @@ def test_contract_bounds_100_replayed_packets(contract):
 def test_adversarial_pins_both_instances_independently(contract):
     """The acceptance criterion: the adversarial phase provably pins both
     instances' namespaced PCVs to their registry bounds."""
-    workload = nat_adversarial(capacity=CAPACITY, timeout=TIMEOUT)
+    workload = nat_adversarial()
     result = Replayer(workload.harness, contract).replay(workload.stimuli)
     assert result.ok, result.violations[:3]
     fwd, rev, _ = workload.harness.structures
@@ -237,7 +239,8 @@ def test_adversarial_pins_both_instances_independently(contract):
 
 def test_workload_streams_cover_every_contract_class(contract):
     classes = set()
-    for workload in nat_workloads(packets=120):
+    for build in SPEC.workloads.values():
+        workload = build(2019, 120)
         result = Replayer(workload.harness, contract).replay(workload.stimuli)
         assert result.ok, result.violations[:3]
         classes.update(result.classes_seen())
@@ -245,7 +248,7 @@ def test_workload_streams_cover_every_contract_class(contract):
 
 
 def test_harness_scalar_order_and_defaults():
-    harness = nat_harness(CAPACITY, TIMEOUT)
+    harness = nat_harness()
     assert harness.scalar_order == ("len", "in_port", "time")
     from repro.traffic import Stimulus
 

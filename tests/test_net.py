@@ -17,8 +17,7 @@ from repro.net import (
     lb_nat_router_workloads,
     route_update,
 )
-from repro.nf.router import generate_router_contract
-from repro.nf.workloads import router_harness
+from repro.nf.router import generate_router_contract, router_harness
 
 
 @pytest.fixture(scope="module")

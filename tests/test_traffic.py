@@ -5,15 +5,10 @@ import random
 import pytest
 
 from repro.core import Metric
-from repro.nf.bridge import generate_bridge_contract
-from repro.nf.router import generate_router_contract, ipv4_packet
-from repro.nf.workloads import (
-    bridge_adversarial,
-    bridge_workloads,
-    colliding_mac_keys,
-    router_adversarial,
-    router_workloads,
-)
+from repro.nf import bridge, router
+from repro.nf.bridge import bridge_adversarial, generate_bridge_contract
+from repro.nf.router import generate_router_contract, ipv4_packet, router_adversarial
+from repro.nf.workloads import colliding_mac_keys
 from repro.structures import ChainingHashMap
 from repro.traffic import (
     Replayer,
@@ -97,17 +92,17 @@ def test_colliding_mac_keys_share_one_bucket():
 
 
 def test_adversarial_expectations_match_registry_bounds():
-    bridge = bridge_adversarial(capacity=16, timeout=50)
-    registry = bridge.harness.structures[0].registry()
-    for pcv, bound in bridge.expected_worst.items():
+    bridge_worst = bridge_adversarial()
+    registry = bridge_worst.harness.structures[0].registry()
+    for pcv, bound in bridge_worst.expected_worst.items():
         assert registry.get(pcv).max_value == bound
-    router = router_adversarial()
-    assert router.expected_worst == {"rt.d": 33}
-    assert router.harness.structures[0].registry().get("rt.d").max_value == 33
+    router_worst = router_adversarial()
+    assert router_worst.expected_worst == {"rt.d": 33}
+    assert router_worst.harness.structures[0].registry().get("rt.d").max_value == 33
 
 
 def test_bridge_adversarial_hits_every_pcv_bound():
-    workload = bridge_adversarial(capacity=16, timeout=50)
+    workload = bridge_adversarial()
     contract = generate_bridge_contract(16, 50)
     result = Replayer(workload.harness, contract).replay(workload.stimuli)
     assert result.ok, result.violations[:3]
@@ -128,14 +123,16 @@ def test_router_adversarial_walks_the_full_trie_depth():
 
 def test_workload_streams_cover_every_contract_class():
     bridge_classes = set()
-    for workload in bridge_workloads(packets=120):
+    for build in bridge.SPEC.workloads.values():
+        workload = build(2019, 120)
         contract = generate_bridge_contract(16, 50)
         result = Replayer(workload.harness, contract).replay(workload.stimuli)
         assert result.ok
         bridge_classes.update(result.classes_seen())
     assert bridge_classes >= {"short", "miss", "hairpin", "hit"}
     router_classes = set()
-    for workload in router_workloads(packets=120):
+    for build in router.SPEC.workloads.values():
+        workload = build(2019, 120)
         contract = generate_router_contract()
         result = Replayer(workload.harness, contract).replay(workload.stimuli)
         assert result.ok
@@ -147,7 +144,7 @@ def test_workload_streams_cover_every_contract_class():
 # Replayer
 # --------------------------------------------------------------------------- #
 def test_replayer_summaries_and_json():
-    workload = bridge_workloads(packets=60)[0]
+    workload = bridge.SPEC.workloads["uniform"](2019, 60)
     contract = generate_bridge_contract(16, 50)
     result = Replayer(workload.harness, contract).replay(workload.stimuli, workload="uniform")
     assert result.packets == 60
@@ -165,7 +162,7 @@ def test_replayer_records_unclassified_executions():
     violation, not a crash."""
     from repro.core import PerformanceContract
 
-    workload = bridge_workloads(packets=20)[0]
+    workload = bridge.SPEC.workloads["uniform"](2019, 20)
     empty_contract = PerformanceContract("empty")
     result = Replayer(workload.harness, empty_contract).replay(workload.stimuli)
     assert not result.ok
@@ -176,13 +173,13 @@ def test_replayer_records_unclassified_executions():
 def test_replayer_flags_a_wrong_nf_contract():
     """Classifying bridge traffic against the router contract surfaces
     measured > predicted violations instead of silently passing."""
-    workload = bridge_workloads(packets=20)[0]
+    workload = bridge.SPEC.workloads["uniform"](2019, 20)
     result = Replayer(workload.harness, generate_router_contract()).replay(workload.stimuli)
     assert not result.ok
 
 
 def test_stimulus_defaults_len_to_packet_length():
-    workload = bridge_workloads(packets=10)[0]
+    workload = bridge.SPEC.workloads["uniform"](2019, 10)
     stimulus = Stimulus(packet=b"\x01\x02\x03", scalars={"in_port": 0, "time": 0})
     scalars = workload.harness.scalars_for(stimulus)
     assert scalars["len"] == 3

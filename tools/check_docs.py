@@ -4,7 +4,7 @@
 Run by the CI ``docs-check`` job (and directly: ``python
 tools/check_docs.py``).  Two guarantees:
 
-1. **Coverage** — every NF in :data:`repro.cli.NF_MATRIX` and every
+1. **Coverage** — every NF in :data:`repro.registry.NF_MATRIX` and every
    structure class in :func:`repro.cli.smoke_structures` (i.e. everything
    the CLI smoke output lists) has a section in ``docs/CONTRACTS.md``,
    and every NF appears in ``docs/ARCHITECTURE.md``'s module map.
@@ -12,7 +12,7 @@ tools/check_docs.py``).  Two guarantees:
    ``docs/CONTRACTS.md``; the cache-simulator backend additionally keeps
    the tail-latency section (with every ``cycles_p*`` column) and the
    ``repro.hw.cachesim`` module-map row alive.
-3. **Graphs** — every service graph in :data:`repro.cli.GRAPH_MATRIX`
+3. **Graphs** — every service graph in :data:`repro.registry.GRAPH_MATRIX`
    has a section in ``docs/SERVICE_GRAPHS.md`` naming each of its hop
    NFs, and the authoring guides cross-link each other so the layering
    story stays navigable.
@@ -39,14 +39,9 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.cli import (  # noqa: E402
-    GRAPH_MATRIX,
-    NF_MATRIX,
-    SUBCOMMANDS,
-    _bench_models,
-    smoke_structures,
-)
+from repro.cli import SUBCOMMANDS, _bench_models, smoke_structures  # noqa: E402
 from repro.core.contract import TAIL_METRICS  # noqa: E402
+from repro.registry import GRAPH_MATRIX, NF_MATRIX  # noqa: E402
 
 
 def python_blocks(markdown: str) -> list[str]:
@@ -134,9 +129,8 @@ def check_graph_docs(failures: list[str]) -> None:
             )
             continue
         # The guide must name every hop NF the graph deploys — the
-        # workload factory carries the authoritative topology.
-        graph = spec.bench_workloads(0, 1)[0].graph
-        missing = [name for name in graph.hop_names() if f"`{name}`" not in guide]
+        # registered graph builder carries the authoritative topology.
+        missing = [name for name in spec.graph().hop_names() if f"`{name}`" not in guide]
         if missing:
             failures.append(
                 f"docs/SERVICE_GRAPHS.md: graph {spec.name!r} hop NFs never "
