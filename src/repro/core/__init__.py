@@ -67,6 +67,7 @@ __all__ = [
     "load_contract",
     "naive_add_contracts",
     "resolve_pcv",
+    "route_class_name",
     "qualify_name",
     "split_name",
     "upper_envelope",

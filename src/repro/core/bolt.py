@@ -103,9 +103,10 @@ class Bolt:
         """The solver used by exploration, created lazily and retained.
 
         Retention matters: the solver memoises canonical constraint forms
-        and UNSAT path-condition prefixes (see :class:`repro.sym.solver.
-        Solver`), so repeated explorations of the same module reuse each
-        other's verdicts instead of re-solving from scratch.
+        by node identity and caches verdicts per exact constraint keyset
+        (see :class:`repro.sym.solver.Solver`), so repeated explorations
+        of the same module reuse each other's verdicts instead of
+        re-solving from scratch.
         """
         if self.config.solver is not None:
             return self.config.solver

@@ -17,8 +17,9 @@ predictions can be compared against (simulated) measured executions:
 ``model.derive(contract)`` returns a contract with a ``cycles`` column;
 ``model.measure(trace)`` prices a concrete execution under the same
 assumptions.  The bench harness (``python -m repro.cli bench``) asserts
-measured ≤ predicted for every replayed packet under all three models,
-and that measured tail percentiles stay under their predicted envelopes.
+measured ≤ predicted for every replayed packet under all three models;
+by sorted dominance that also keeps each measured tail percentile under
+the predicted envelope the report records beside it.
 """
 
 from repro.hw.cachesim import (

@@ -39,24 +39,20 @@ check through :data:`SPEC`.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.audit.ct import CONSTANT_TIME, LEAK, SecretClassSet
-from repro.core.bolt import Bolt, BoltConfig
+from repro.core.bolt import BoltConfig
 from repro.core.contract import PerformanceContract
 from repro.core.input_class import InputClass
-from repro.core.pcv import PCVRegistry
 from repro.nfil.builder import FunctionBuilder
 from repro.nfil.program import Module
-from repro.nf.replay import NFHarness, replay_env
+from repro.nf.replay import InputLayout, NFHarness, generate_nf_contract
 from repro.nf.workloads import NFSpec, Workload, colliding_mac_keys, sampled_stimuli
-from repro.nfil.tracer import ExecutionTrace
 from repro.nfil.validate import validate_module
-from repro.structures import NOT_FOUND, ExpiringMap, StructureModel
-from repro.sym import expr as E
-from repro.sym.expr import BV, Const, Sym
+from repro.structures import NOT_FOUND, ExpiringMap
+from repro.sym.expr import Const
 from repro.sym.paths import Path
-from repro.sym.state import SymbolicMemory
 from repro.traffic.generators import Stimulus
 from repro.traffic.packets import ethernet_frame, mac_bytes
 
@@ -64,15 +60,13 @@ __all__ = [
     "BRIDGE_FUNCTION",
     "DROP",
     "FLOOD",
+    "LAYOUT",
     "MAX_PORTS",
     "NOT_FOUND",
     "PKT_BASE",
     "SPEC",
     "bridge_adversarial",
     "bridge_harness",
-    "bridge_registry",
-    "bridge_replay_env",
-    "bridge_symbolic_inputs",
     "build_bridge_module",
     "classify_bridge_path",
     "generate_bridge_contract",
@@ -95,6 +89,9 @@ DROP = 0xFFFE
 #: Valid switch ports are [0, MAX_PORTS).
 MAX_PORTS = 64
 
+#: The bridge's inputs: ``pkt`` at PKT_BASE, a valid ingress port.
+LAYOUT = InputLayout(PKT_BASE, PKT_SYM_BYTES, {"in_port": MAX_PORTS})
+
 #: Bench geometry: MAC-table capacity and entry timeout (ticks).
 BENCH_CAPACITY = 16
 BENCH_TIMEOUT = 50
@@ -108,11 +105,6 @@ def make_bridge_table(capacity: int = 64, timeout: int = 300) -> ExpiringMap:
         timeout=timeout,
         value_bound=MAX_PORTS,
     )
-
-
-def bridge_registry(capacity: int = 64, timeout: int = 300) -> PCVRegistry:
-    """PCVs of the bridge contract (from the MAC table's structure contract)."""
-    return make_bridge_table(capacity, timeout).registry()
 
 
 # --------------------------------------------------------------------------- #
@@ -164,29 +156,8 @@ def build_bridge_module() -> Module:
 
 
 # --------------------------------------------------------------------------- #
-# Contract generation and concrete replay glue
+# Contract generation
 # --------------------------------------------------------------------------- #
-def bridge_symbolic_inputs() -> Tuple[List[BV], SymbolicMemory, List[BV]]:
-    """Symbolic initial state of one bridge invocation.
-
-    Returns ``(args, memory, constraints)``: the packet buffer bytes are
-    fresh symbols ``pkt[i]`` at :data:`PKT_BASE`, the scalar inputs are the
-    symbols ``len`` / ``in_port`` / ``time``, and the ingress port is
-    assumed valid.
-    """
-    memory = SymbolicMemory()
-    memory.write_symbolic(PKT_BASE, PKT_SYM_BYTES, "pkt")
-    in_port = Sym("in_port", 64)
-    args: List[BV] = [
-        Const(PKT_BASE, 64),
-        Sym("len", 64),
-        in_port,
-        Sym("time", 64),
-    ]
-    constraints = [E.ult(in_port, Const(MAX_PORTS, 64))]
-    return args, memory, constraints
-
-
 _CLASS_DESCRIPTIONS = {
     "short": "frame shorter than an Ethernet header; dropped unparsed",
     "miss": "destination MAC unknown; frame flooded",
@@ -215,38 +186,14 @@ def generate_bridge_contract(
     config: Optional[BoltConfig] = None,
 ) -> PerformanceContract:
     """Run BOLT end-to-end on the bridge and return its contract."""
-    module = build_bridge_module()
-    if config is None:
-        config = BoltConfig(classifier=classify_bridge_path)
-    elif config.classifier is None:
-        config.classifier = classify_bridge_path
-    table = make_bridge_table(capacity, timeout)
-    bolt = Bolt(
-        module,
+    return generate_nf_contract(
+        build_bridge_module(),
         BRIDGE_FUNCTION,
-        model=StructureModel(table),
-        registry=table.registry(),
+        (make_bridge_table(capacity, timeout),),
+        LAYOUT,
+        classify_bridge_path,
         config=config,
     )
-    args, memory, constraints = bridge_symbolic_inputs()
-    return bolt.generate(args, memory=memory, constraints=constraints)
-
-
-def bridge_replay_env(
-    packet: bytes,
-    length: int,
-    in_port: int,
-    time: int,
-    trace: ExecutionTrace,
-) -> Dict[str, int]:
-    """Build the symbol assignment a concrete execution corresponds to.
-
-    Combines the concrete inputs with the extern return values recorded in
-    the trace (named ``"{extern}#{index}"``, matching the symbolic model's
-    output naming), so the execution can be matched to the symbolic path —
-    and hence contract entry — it followed.
-    """
-    return replay_env(packet, PKT_SYM_BYTES, trace, len=length, in_port=in_port, time=time)
 
 
 # --------------------------------------------------------------------------- #
@@ -259,11 +206,8 @@ def bridge_harness() -> NFHarness:
         "bridge",
         build_bridge_module(),
         BRIDGE_FUNCTION,
-        handler=table,
         structures=(table,),
-        pkt_base=PKT_BASE,
-        sym_bytes=PKT_SYM_BYTES,
-        scalar_order=("len", "in_port", "time"),
+        layout=LAYOUT,
     )
 
 

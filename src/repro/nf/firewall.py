@@ -60,14 +60,13 @@ check through :data:`SPEC`.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.audit.ct import CONSTANT_TIME, LEAK, SecretClassSet
-from repro.core.bolt import Bolt, BoltConfig
+from repro.core.bolt import BoltConfig
 from repro.core.contract import PerformanceContract
 from repro.core.input_class import InputClass
-from repro.core.pcv import PCVRegistry
-from repro.nf.replay import NFHarness, replay_env
+from repro.nf.replay import InputLayout, NFHarness, generate_nf_contract
 from repro.nf.workloads import (
     WAN_CLIENT,
     WAN_SERVER,
@@ -77,16 +76,12 @@ from repro.nf.workloads import (
     draw_flows,
     sampled_stimuli,
 )
-from repro.nfil.interpreter import ExternHandler
 from repro.nfil.builder import FunctionBuilder
 from repro.nfil.program import Module
-from repro.nfil.tracer import ExecutionTrace
 from repro.nfil.validate import validate_module
-from repro.structures import NOT_FOUND, ExpiringMap, PortAllocator, StructureModel
-from repro.sym import expr as E
-from repro.sym.expr import BV, Const, Sym
+from repro.structures import NOT_FOUND, ExpiringMap, PortAllocator
+from repro.sym.expr import Const
 from repro.sym.paths import Path
-from repro.sym.state import SymbolicMemory
 from repro.traffic.generators import Stimulus
 from repro.traffic.packets import nat_frame
 
@@ -100,6 +95,7 @@ __all__ = [
     "DROP_UNSOLICITED",
     "FIREWALL_FUNCTION",
     "LAN_PORT",
+    "LAYOUT",
     "MAX_PORTS",
     "MIN_FW_FRAME",
     "NOT_FOUND",
@@ -111,10 +107,7 @@ __all__ = [
     "firewall_adversarial",
     "firewall_harness",
     "firewall_header_flood",
-    "firewall_registry",
-    "firewall_replay_env",
     "firewall_scan_sweep",
-    "firewall_symbolic_inputs",
     "generate_firewall_contract",
     "make_firewall_state",
 ]
@@ -136,6 +129,8 @@ ETHERTYPE_IPV4_LE = 0x0008
 LAN_PORT = 0
 #: Valid ingress device ids are [0, MAX_PORTS).
 MAX_PORTS = 64
+#: The firewall's inputs: ``pkt`` at PKT_BASE, a valid ingress device id.
+LAYOUT = InputLayout(PKT_BASE, PKT_SYM_BYTES, {"in_port": MAX_PORTS})
 
 #: The one static egress rule: outbound frames to this destination port
 #: are dropped (block-outbound-SMTP, the textbook egress filter).
@@ -180,11 +175,6 @@ def make_firewall_state(
         slots = range(1, capacity + 1)
     pool = PortAllocator(SLOTS_NAME, pool=slots)
     return conn, pool
-
-
-def firewall_registry(capacity: int = 64, timeout: int = 300) -> PCVRegistry:
-    """PCVs of the firewall contract (the connection table's registry)."""
-    return StructureModel(*make_firewall_state(capacity, timeout)).registry()
 
 
 # --------------------------------------------------------------------------- #
@@ -296,23 +286,8 @@ def build_firewall_module() -> Module:
 
 
 # --------------------------------------------------------------------------- #
-# Contract generation and concrete replay glue
+# Contract generation
 # --------------------------------------------------------------------------- #
-def firewall_symbolic_inputs() -> Tuple[List[BV], SymbolicMemory, List[BV]]:
-    """Symbolic initial state of one firewall invocation."""
-    memory = SymbolicMemory()
-    memory.write_symbolic(PKT_BASE, PKT_SYM_BYTES, "pkt")
-    in_port = Sym("in_port", 64)
-    args: List[BV] = [
-        Const(PKT_BASE, 64),
-        Sym("len", 64),
-        in_port,
-        Sym("time", 64),
-    ]
-    constraints = [E.ult(in_port, Const(MAX_PORTS, 64))]
-    return args, memory, constraints
-
-
 _CLASS_DESCRIPTIONS = {
     "short": "frame shorter than Ethernet+IPv4+ports; dropped unparsed",
     "non_ip": "EtherType is not IPv4; frame dropped",
@@ -355,32 +330,14 @@ def generate_firewall_contract(
     config: Optional[BoltConfig] = None,
 ) -> PerformanceContract:
     """Run BOLT end-to-end on the firewall and return its contract."""
-    module = build_firewall_module()
-    if config is None:
-        config = BoltConfig(classifier=classify_firewall_path)
-    elif config.classifier is None:
-        config.classifier = classify_firewall_path
-    model = StructureModel(*make_firewall_state(capacity, timeout))
-    bolt = Bolt(
-        module,
+    return generate_nf_contract(
+        build_firewall_module(),
         FIREWALL_FUNCTION,
-        model=model,
-        registry=model.registry(),
+        make_firewall_state(capacity, timeout),
+        LAYOUT,
+        classify_firewall_path,
         config=config,
     )
-    args, memory, constraints = firewall_symbolic_inputs()
-    return bolt.generate(args, memory=memory, constraints=constraints)
-
-
-def firewall_replay_env(
-    packet: bytes,
-    length: int,
-    in_port: int,
-    time: int,
-    trace: ExecutionTrace,
-) -> Dict[str, int]:
-    """Build the symbol assignment a concrete firewall execution matches."""
-    return replay_env(packet, PKT_SYM_BYTES, trace, len=length, in_port=in_port, time=time)
 
 
 # --------------------------------------------------------------------------- #
@@ -389,23 +346,17 @@ def firewall_replay_env(
 def firewall_harness(*, slots: Optional[Iterable[int]] = None) -> NFHarness:
     """A fresh connection-tracking firewall at bench geometry, wired for replay.
 
-    The handler merges the connection table and the slot allocator into
-    one dispatch table, exactly like the NAT's three-instance merge.
-    ``slots`` overrides the default ``capacity``-slot pool.
+    :class:`NFHarness` merges the connection table and the slot
+    allocator into one extern dispatch table.  ``slots`` overrides the
+    default ``capacity``-slot pool.
     """
-    conn, pool = make_firewall_state(BENCH_CAPACITY, BENCH_TIMEOUT, slots=slots)
-    handler = ExternHandler().merge(conn).merge(pool)
     return NFHarness(
         "firewall",
         build_firewall_module(),
         FIREWALL_FUNCTION,
-        handler=handler,
-        structures=(conn, pool),
-        pkt_base=PKT_BASE,
-        sym_bytes=PKT_SYM_BYTES,
-        scalar_order=("len", "in_port", "time"),
+        structures=make_firewall_state(BENCH_CAPACITY, BENCH_TIMEOUT, slots=slots),
+        layout=LAYOUT,
     )
-
 
 
 def _firewall_mixed(

@@ -54,14 +54,13 @@ through :data:`SPEC`.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.audit.ct import LEAK, SecretClassSet
-from repro.core.bolt import Bolt, BoltConfig
+from repro.core.bolt import BoltConfig
 from repro.core.contract import PerformanceContract
 from repro.core.input_class import InputClass
-from repro.core.pcv import PCVRegistry
-from repro.nf.replay import NFHarness, replay_env
+from repro.nf.replay import InputLayout, NFHarness, generate_nf_contract
 from repro.nf.workloads import (
     WAN_SERVER,
     NFSpec,
@@ -71,22 +70,17 @@ from repro.nf.workloads import (
     draw_flows,
     sampled_stimuli,
 )
-from repro.nfil.interpreter import ExternHandler
 from repro.nfil.builder import FunctionBuilder
 from repro.nfil.program import Module
-from repro.nfil.tracer import ExecutionTrace
 from repro.nfil.validate import validate_module
 from repro.structures import (
     NOT_FOUND,
     ExpiringMap,
     MaglevTable,
-    StructureModel,
     max_fill_iterations,
 )
-from repro.sym import expr as E
-from repro.sym.expr import BV, Const, Sym
+from repro.sym.expr import Const
 from repro.sym.paths import Path
-from repro.sym.state import SymbolicMemory
 from repro.traffic.generators import Stimulus
 from repro.traffic.packets import nat_frame
 
@@ -99,6 +93,7 @@ __all__ = [
     "DROP_NO_BACKENDS",
     "DROP_NON_IP",
     "DROP_SHORT",
+    "LAYOUT",
     "LB_FUNCTION",
     "MAX_CMD",
     "MIN_LB_FRAME",
@@ -113,9 +108,6 @@ __all__ = [
     "lb_control_stimulus",
     "lb_data_stimulus",
     "lb_harness",
-    "lb_registry",
-    "lb_replay_env",
-    "lb_symbolic_inputs",
     "make_lb_state",
 ]
 
@@ -138,6 +130,10 @@ CMD_ADD = 1
 CMD_REMOVE = 2
 #: Valid commands are [0, MAX_CMD).
 MAX_CMD = 3
+
+#: The LB's inputs: ``pkt`` at PKT_BASE, a valid command and a 16-bit
+#: backend id argument.
+LAYOUT = InputLayout(PKT_BASE, PKT_SYM_BYTES, {"cmd": MAX_CMD, "arg": 1 << 16})
 
 #: Structure instance names (also the PCV namespaces: ``lb_tbl.f``, ``conn.t``).
 TBL_NAME = "lb_tbl"
@@ -177,19 +173,6 @@ def make_lb_state(
     )
     conn = ExpiringMap(CONN_NAME, capacity=capacity, timeout=timeout, value_bound=1 << 16)
     return tbl, conn
-
-
-def lb_registry(
-    capacity: int = 64,
-    timeout: int = 300,
-    *,
-    table_size: int = 13,
-    max_backends: int = 4,
-) -> PCVRegistry:
-    """PCVs of the LB contract: both instances' namespaced registries."""
-    return StructureModel(
-        *make_lb_state(capacity, timeout, table_size=table_size, max_backends=max_backends)
-    ).registry()
 
 
 # --------------------------------------------------------------------------- #
@@ -296,33 +279,8 @@ def build_lb_module() -> Module:
 
 
 # --------------------------------------------------------------------------- #
-# Contract generation and concrete replay glue
+# Contract generation
 # --------------------------------------------------------------------------- #
-def lb_symbolic_inputs() -> Tuple[List[BV], SymbolicMemory, List[BV]]:
-    """Symbolic initial state of one LB invocation.
-
-    The packet bytes are fresh symbols at :data:`PKT_BASE`, the scalars
-    are ``len`` / ``cmd`` / ``arg`` / ``time``; the command is assumed
-    valid and the backend argument a 16-bit id.
-    """
-    memory = SymbolicMemory()
-    memory.write_symbolic(PKT_BASE, PKT_SYM_BYTES, "pkt")
-    cmd = Sym("cmd", 64)
-    arg = Sym("arg", 64)
-    args: List[BV] = [
-        Const(PKT_BASE, 64),
-        Sym("len", 64),
-        cmd,
-        arg,
-        Sym("time", 64),
-    ]
-    constraints = [
-        E.ult(cmd, Const(MAX_CMD, 64)),
-        E.ult(arg, Const(1 << 16, 64)),
-    ]
-    return args, memory, constraints
-
-
 _CLASS_DESCRIPTIONS = {
     "reconfig": "control frame; backend added/removed, table repopulated",
     "short": "frame shorter than Ethernet+IPv4+ports; dropped unparsed",
@@ -365,35 +323,14 @@ def generate_lb_contract(
     config: Optional[BoltConfig] = None,
 ) -> PerformanceContract:
     """Run BOLT end-to-end on the load balancer and return its contract."""
-    module = build_lb_module()
-    if config is None:
-        config = BoltConfig(classifier=classify_lb_path)
-    elif config.classifier is None:
-        config.classifier = classify_lb_path
-    model = StructureModel(
-        *make_lb_state(capacity, timeout, table_size=table_size, max_backends=max_backends)
-    )
-    bolt = Bolt(
-        module,
+    return generate_nf_contract(
+        build_lb_module(),
         LB_FUNCTION,
-        model=model,
-        registry=model.registry(),
+        make_lb_state(capacity, timeout, table_size=table_size, max_backends=max_backends),
+        LAYOUT,
+        classify_lb_path,
         config=config,
     )
-    args, memory, constraints = lb_symbolic_inputs()
-    return bolt.generate(args, memory=memory, constraints=constraints)
-
-
-def lb_replay_env(
-    packet: bytes,
-    length: int,
-    cmd: int,
-    arg: int,
-    time: int,
-    trace: ExecutionTrace,
-) -> Dict[str, int]:
-    """Build the symbol assignment a concrete LB execution matches."""
-    return replay_env(packet, PKT_SYM_BYTES, trace, len=length, cmd=cmd, arg=arg, time=time)
 
 
 # --------------------------------------------------------------------------- #
@@ -416,22 +353,17 @@ def lb_harness() -> NFHarness:
     the repopulation cost (``lb_tbl.f``) must land in traces for the
     adversarial bound check to observe it.
     """
-    tbl, conn = make_lb_state(
-        BENCH_CAPACITY,
-        BENCH_TIMEOUT,
-        table_size=BENCH_TABLE_SIZE,
-        max_backends=BENCH_MAX_BACKENDS,
-    )
-    handler = ExternHandler().merge(tbl).merge(conn)
     return NFHarness(
         "lb",
         build_lb_module(),
         LB_FUNCTION,
-        handler=handler,
-        structures=(tbl, conn),
-        pkt_base=PKT_BASE,
-        sym_bytes=PKT_SYM_BYTES,
-        scalar_order=("len", "cmd", "arg", "time"),
+        structures=make_lb_state(
+            BENCH_CAPACITY,
+            BENCH_TIMEOUT,
+            table_size=BENCH_TABLE_SIZE,
+            max_backends=BENCH_MAX_BACKENDS,
+        ),
+        layout=LAYOUT,
     )
 
 

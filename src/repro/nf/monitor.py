@@ -38,23 +38,20 @@ check through :data:`SPEC`.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.audit.ct import CONSTANT_TIME, SecretClassSet
-from repro.core.bolt import Bolt, BoltConfig
+from repro.core.bolt import BoltConfig
 from repro.core.contract import PerformanceContract
 from repro.core.input_class import InputClass
-from repro.core.pcv import PCVRegistry
-from repro.nf.replay import NFHarness, replay_env
+from repro.nf.replay import InputLayout, NFHarness, generate_nf_contract
 from repro.nf.workloads import WAN_SERVER, NFSpec, Workload, draw_flows, sampled_stimuli
 from repro.nfil.builder import FunctionBuilder
 from repro.nfil.program import Module
-from repro.nfil.tracer import ExecutionTrace
 from repro.nfil.validate import validate_module
-from repro.structures import CountMinSketch, StructureModel
-from repro.sym.expr import BV, Const, Sym
+from repro.structures import CountMinSketch
+from repro.sym.expr import Const
 from repro.sym.paths import Path
-from repro.sym.state import SymbolicMemory
 from repro.traffic.generators import Stimulus
 from repro.traffic.packets import nat_frame
 
@@ -63,6 +60,7 @@ __all__ = [
     "FLAG_HOT",
     "DROP_NON_IP",
     "DROP_SHORT",
+    "LAYOUT",
     "MIN_MON_FRAME",
     "MON_COUNTER_MAX",
     "MON_DEPTH",
@@ -79,10 +77,7 @@ __all__ = [
     "monitor_adversarial",
     "monitor_harness",
     "monitor_header_flood",
-    "monitor_registry",
-    "monitor_replay_env",
     "monitor_scan_sweep",
-    "monitor_symbolic_inputs",
 ]
 
 #: Entry function of the monitor.
@@ -94,6 +89,8 @@ PKT_BASE = 0x1000
 MIN_MON_FRAME = 38
 #: How many leading packet bytes are made symbolic during analysis.
 PKT_SYM_BYTES = MIN_MON_FRAME
+#: The monitor's inputs: ``pkt`` at PKT_BASE; ``len`` is unconstrained.
+LAYOUT = InputLayout(PKT_BASE, PKT_SYM_BYTES)
 
 #: EtherType 0x0800 (IPv4) as read by a little-endian 16-bit load.
 ETHERTYPE_IPV4_LE = 0x0008
@@ -125,11 +122,6 @@ def make_sketch(
 ) -> CountMinSketch:
     """Build the monitor's heavy-hitter sketch."""
     return CountMinSketch(SKETCH_NAME, depth=depth, width=width, counter_max=counter_max)
-
-
-def monitor_registry() -> PCVRegistry:
-    """PCVs of the monitor contract: the empty registry, by design."""
-    return make_sketch().registry()
 
 
 # --------------------------------------------------------------------------- #
@@ -189,16 +181,8 @@ def build_monitor_module() -> Module:
 
 
 # --------------------------------------------------------------------------- #
-# Contract generation and concrete replay glue
+# Contract generation
 # --------------------------------------------------------------------------- #
-def monitor_symbolic_inputs() -> Tuple[list, SymbolicMemory, list]:
-    """Symbolic initial state of one monitor invocation."""
-    memory = SymbolicMemory()
-    memory.write_symbolic(PKT_BASE, PKT_SYM_BYTES, "pkt")
-    args: list = [Const(PKT_BASE, 64), Sym("len", 64)]
-    return args, memory, []
-
-
 _CLASS_DESCRIPTIONS = {
     "short": "frame shorter than Ethernet+IPv4+ports; dropped unparsed",
     "non_ip": "EtherType is not IPv4; frame dropped",
@@ -225,28 +209,14 @@ def generate_monitor_contract(
     *, config: Optional[BoltConfig] = None
 ) -> PerformanceContract:
     """Run BOLT end-to-end on the monitor and return its contract."""
-    module = build_monitor_module()
-    if config is None:
-        config = BoltConfig(classifier=classify_monitor_path)
-    elif config.classifier is None:
-        config.classifier = classify_monitor_path
-    sketch = make_sketch()
-    bolt = Bolt(
-        module,
+    return generate_nf_contract(
+        build_monitor_module(),
         MONITOR_FUNCTION,
-        model=StructureModel(sketch),
-        registry=sketch.registry(),
+        (make_sketch(),),
+        LAYOUT,
+        classify_monitor_path,
         config=config,
     )
-    args, memory, constraints = monitor_symbolic_inputs()
-    return bolt.generate(args, memory=memory, constraints=constraints)
-
-
-def monitor_replay_env(
-    packet: bytes, length: int, trace: ExecutionTrace
-) -> Dict[str, int]:
-    """Build the symbol assignment a concrete monitor execution matches."""
-    return replay_env(packet, PKT_SYM_BYTES, trace, len=length)
 
 
 # --------------------------------------------------------------------------- #
@@ -263,13 +233,9 @@ def monitor_harness() -> NFHarness:
         "monitor",
         build_monitor_module(),
         MONITOR_FUNCTION,
-        handler=sketch,
         structures=(sketch,),
-        pkt_base=PKT_BASE,
-        sym_bytes=PKT_SYM_BYTES,
-        scalar_order=("len",),
+        layout=LAYOUT,
     )
-
 
 
 def _monitor_mixed(

@@ -60,14 +60,13 @@ through :data:`SPEC`.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.audit.ct import LEAK, SecretClassSet
-from repro.core.bolt import Bolt, BoltConfig
+from repro.core.bolt import BoltConfig
 from repro.core.contract import PerformanceContract
 from repro.core.input_class import InputClass
-from repro.core.pcv import PCVRegistry
-from repro.nf.replay import NFHarness, replay_env
+from repro.nf.replay import InputLayout, NFHarness, generate_nf_contract
 from repro.nf.workloads import (
     NAT_PUBLIC,
     WAN_CLIENT,
@@ -79,16 +78,12 @@ from repro.nf.workloads import (
     draw_flows,
     sampled_stimuli,
 )
-from repro.nfil.interpreter import ExternHandler
 from repro.nfil.builder import FunctionBuilder
 from repro.nfil.program import Module
-from repro.nfil.tracer import ExecutionTrace
 from repro.nfil.validate import validate_module
-from repro.structures import NOT_FOUND, ExpiringMap, PortAllocator, StructureModel
-from repro.sym import expr as E
-from repro.sym.expr import BV, Const, Sym
+from repro.structures import NOT_FOUND, ExpiringMap, PortAllocator
+from repro.sym.expr import Const
 from repro.sym.paths import Path
-from repro.sym.state import SymbolicMemory
 from repro.traffic.generators import Stimulus
 from repro.traffic.packets import nat_frame
 
@@ -99,6 +94,7 @@ __all__ = [
     "DROP_UNKNOWN_FLOW",
     "FWD_NAME",
     "LAN_PORT",
+    "LAYOUT",
     "MAX_PORTS",
     "MIN_NAT_FRAME",
     "NAT_FUNCTION",
@@ -114,9 +110,6 @@ __all__ = [
     "make_nat_tables",
     "nat_adversarial",
     "nat_harness",
-    "nat_registry",
-    "nat_replay_env",
-    "nat_symbolic_inputs",
 ]
 
 #: Entry function of the NAT.
@@ -136,6 +129,8 @@ ETHERTYPE_IPV4_LE = 0x0008
 LAN_PORT = 0
 #: Valid device ids are [0, MAX_PORTS).
 MAX_PORTS = 64
+#: The NAT's inputs: ``pkt`` at PKT_BASE, a valid ingress device id.
+LAYOUT = InputLayout(PKT_BASE, PKT_SYM_BYTES, {"in_port": MAX_PORTS})
 
 #: First port of the default lease pool (the IANA dynamic-port floor).
 PORT_BASE = 49152
@@ -186,11 +181,6 @@ def make_nat_tables(
         pool = range(PORT_BASE, PORT_BASE + capacity)
     ports = PortAllocator(PORTS_NAME, pool=pool)
     return fwd, rev, ports
-
-
-def nat_registry(capacity: int = 64, timeout: int = 300) -> PCVRegistry:
-    """PCVs of the NAT contract: both tables' namespaced registries."""
-    return StructureModel(*make_nat_tables(capacity, timeout)).registry()
 
 
 # --------------------------------------------------------------------------- #
@@ -289,28 +279,8 @@ def build_nat_module() -> Module:
 
 
 # --------------------------------------------------------------------------- #
-# Contract generation and concrete replay glue
+# Contract generation
 # --------------------------------------------------------------------------- #
-def nat_symbolic_inputs() -> Tuple[List[BV], SymbolicMemory, List[BV]]:
-    """Symbolic initial state of one NAT invocation.
-
-    The packet bytes are fresh symbols at :data:`PKT_BASE`, the scalars
-    are ``len`` / ``in_port`` / ``time``, and the ingress device id is
-    assumed valid.
-    """
-    memory = SymbolicMemory()
-    memory.write_symbolic(PKT_BASE, PKT_SYM_BYTES, "pkt")
-    in_port = Sym("in_port", 64)
-    args: List[BV] = [
-        Const(PKT_BASE, 64),
-        Sym("len", 64),
-        in_port,
-        Sym("time", 64),
-    ]
-    constraints = [E.ult(in_port, Const(MAX_PORTS, 64))]
-    return args, memory, constraints
-
-
 _CLASS_DESCRIPTIONS = {
     "short": "frame shorter than Ethernet+IPv4+ports; dropped unparsed",
     "non_ip": "EtherType is not IPv4; frame dropped",
@@ -351,32 +321,14 @@ def generate_nat_contract(
     config: Optional[BoltConfig] = None,
 ) -> PerformanceContract:
     """Run BOLT end-to-end on the NAT and return its contract."""
-    module = build_nat_module()
-    if config is None:
-        config = BoltConfig(classifier=classify_nat_path)
-    elif config.classifier is None:
-        config.classifier = classify_nat_path
-    model = StructureModel(*make_nat_tables(capacity, timeout))
-    bolt = Bolt(
-        module,
+    return generate_nf_contract(
+        build_nat_module(),
         NAT_FUNCTION,
-        model=model,
-        registry=model.registry(),
+        make_nat_tables(capacity, timeout),
+        LAYOUT,
+        classify_nat_path,
         config=config,
     )
-    args, memory, constraints = nat_symbolic_inputs()
-    return bolt.generate(args, memory=memory, constraints=constraints)
-
-
-def nat_replay_env(
-    packet: bytes,
-    length: int,
-    in_port: int,
-    time: int,
-    trace: ExecutionTrace,
-) -> Dict[str, int]:
-    """Build the symbol assignment a concrete NAT execution matches."""
-    return replay_env(packet, PKT_SYM_BYTES, trace, len=length, in_port=in_port, time=time)
 
 
 # --------------------------------------------------------------------------- #
@@ -385,24 +337,17 @@ def nat_replay_env(
 def nat_harness(*, pool: Optional[Iterable[int]] = None) -> NFHarness:
     """A fresh VigNAT-style NAT at bench geometry, wired for replay.
 
-    The handler merges the three structure instances (forward table,
-    reverse table, port allocator) into one dispatch table — the merge
-    (and :class:`NFHarness` itself) rejects ambiguous extern manglings.
+    :class:`NFHarness` merges the three structure instances (forward
+    table, reverse table, port allocator) into one extern dispatch table.
     ``pool`` overrides the default ``capacity``-port lease pool.
     """
-    fwd, rev, ports = make_nat_tables(BENCH_CAPACITY, BENCH_TIMEOUT, pool=pool)
-    handler = ExternHandler().merge(fwd).merge(rev).merge(ports)
     return NFHarness(
         "nat",
         build_nat_module(),
         NAT_FUNCTION,
-        handler=handler,
-        structures=(fwd, rev, ports),
-        pkt_base=PKT_BASE,
-        sym_bytes=PKT_SYM_BYTES,
-        scalar_order=("len", "in_port", "time"),
+        structures=make_nat_tables(BENCH_CAPACITY, BENCH_TIMEOUT, pool=pool),
+        layout=LAYOUT,
     )
-
 
 
 def _nat_mixed(

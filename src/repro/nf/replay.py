@@ -1,30 +1,127 @@
-"""Shared glue for replaying concrete executions against contracts.
+"""One input layout per NF: the shared symbolic and concrete glue.
 
-Every NF replays the same way: the packet bytes map onto the ``pkt[i]``
-byte symbols of the symbolic initial state, the scalar inputs map onto
-their parameter symbols, and each value-returning extern call maps onto
-the model-output symbol ``"{extern}#{index}"`` (the symbolic engine and
-the concrete tracer number extern calls identically).  NFs wrap this in a
-thin, NF-specific function naming their scalars.
+Bolt's symbolic analysis and the traced concrete replay both drive the
+NF's NFIL entry function, whose first parameter is the packet pointer and
+whose remaining parameters are the scalar inputs (``len``, ``in_port``,
+``time``, ...).  Each NF states the rest once, as an :class:`InputLayout`:
+where the packet buffer lives, how many leading packet bytes are
+symbolic, and the domain of any bounded scalar.  Both sides derive
+everything else from that layout plus the function's declared params:
 
-:class:`NFHarness` packages the replay convention into the object the
-:class:`repro.traffic.replayer.Replayer` drives: it owns the interpreter,
-writes each stimulus packet into NF memory, builds the argument list from
-the NF's declared scalar order, and reconstructs the replay environment
-that matches the execution back to a symbolic path.
+* the symbolic side (:func:`symbolic_inputs`, :func:`generate_nf_contract`)
+  makes the packet bytes the symbols ``pkt[i]`` and each scalar the
+  symbol named after its parameter, constrained to its declared domain;
+* the concrete side (:class:`NFHarness`, :func:`replay_env`) calls the
+  function with the scalars in parameter order and maps an execution
+  back onto the same names, with each value-returning extern call bound
+  to the model-output symbol ``"{extern}#{index}"`` (the symbolic engine
+  and the concrete tracer number extern calls identically).
+
+:class:`NFHarness` is the object the :class:`repro.traffic.replayer.
+Replayer` drives: it owns the interpreter, writes each stimulus packet
+into NF memory, builds the argument list, and reconstructs the replay
+environment that matches the execution back to a symbolic path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.core.bolt import Bolt, BoltConfig, Classifier
+from repro.core.contract import PerformanceContract
 from repro.nfil.interpreter import ExternHandler, Interpreter, Memory
 from repro.nfil.program import Module
 from repro.nfil.tracer import ExecutionTrace
-from repro.structures.base import Structure, check_extern_collisions
+from repro.structures.base import Structure, StructureModel, check_extern_collisions
+from repro.sym import expr as E
+from repro.sym.expr import BV, Const, Sym
+from repro.sym.state import SymbolicMemory
 from repro.traffic.generators import Stimulus
 
-__all__ = ["NFHarness", "replay_env"]
+__all__ = [
+    "InputLayout",
+    "NFHarness",
+    "generate_nf_contract",
+    "replay_env",
+    "symbolic_inputs",
+]
+
+
+@dataclass(frozen=True)
+class InputLayout:
+    """How one NF's entry function receives its inputs.
+
+    Attributes:
+        pkt_base: address the packet buffer is written to (the value of
+            the function's first, pointer parameter).
+        sym_bytes: how many leading packet bytes are symbolic during
+            contract generation (the replay environment covers exactly
+            those).
+        domain: exclusive upper bound of each bounded scalar parameter
+            (e.g. ``{"in_port": MAX_PORTS}``); the contract assumes
+            ``name < bound``.  Scalars not listed are unconstrained.
+    """
+
+    pkt_base: int
+    sym_bytes: int
+    domain: Mapping[str, int] = field(default_factory=dict)
+
+
+def _scalar_params(module: Module, function: str) -> Tuple[str, ...]:
+    """The scalar parameters of ``function``, in call order (after ``pkt``)."""
+    return tuple(module.functions[function].param_names()[1:])
+
+
+def symbolic_inputs(
+    module: Module, function: str, layout: InputLayout
+) -> Tuple[List[BV], SymbolicMemory, List[BV]]:
+    """Symbolic initial state of one invocation of ``function``.
+
+    Returns ``(args, memory, constraints)``: the packet bytes are fresh
+    symbols ``pkt[i]`` at ``layout.pkt_base``, each scalar is the symbol
+    named after its parameter, and each bounded scalar is assumed inside
+    its domain (constraints in parameter order).
+    """
+    memory = SymbolicMemory()
+    memory.write_symbolic(layout.pkt_base, layout.sym_bytes, "pkt")
+    scalars = [Sym(name, 64) for name in _scalar_params(module, function)]
+    args: List[BV] = [Const(layout.pkt_base, 64), *scalars]
+    # One Sym object per scalar serves as both argument and constrained
+    # term: the solver's normalisation caches are keyed by node identity.
+    constraints = [
+        E.ult(scalar, Const(layout.domain[scalar.name], 64))
+        for scalar in scalars
+        if scalar.name in layout.domain
+    ]
+    return args, memory, constraints
+
+
+def generate_nf_contract(
+    module: Module,
+    function: str,
+    structures: Sequence[Structure],
+    layout: InputLayout,
+    classifier: Classifier,
+    *,
+    config: Optional[BoltConfig] = None,
+) -> PerformanceContract:
+    """Run BOLT end-to-end on one NF and return its contract.
+
+    ``structures`` back the NF's state (a :class:`StructureModel` over all
+    of them supplies the symbolic model and the merged PCV registry);
+    ``classifier`` groups paths into input classes unless ``config``
+    names its own.  The caller's ``config`` is never modified.
+    """
+    if config is None:
+        config = BoltConfig(classifier=classifier)
+    elif config.classifier is None:
+        config = replace(config, classifier=classifier)
+    model = StructureModel(*structures)
+    bolt = Bolt(module, function, model=model, registry=model.registry(), config=config)
+    args, memory, constraints = symbolic_inputs(module, function, layout)
+    return bolt.generate(args, memory=memory, constraints=constraints)
+
 
 # The ``pkt[i]`` symbol names, interned once: replay builds one env per
 # packet, and formatting the same key strings 10^4+ times per workload is
@@ -70,18 +167,13 @@ class NFHarness:
         name: NF name used in replay results and bench reports.
         module: the NF's (validated) NFIL module.
         function: entry function to invoke per stimulus.
-        handler: the extern handler backing the NF's state (usually a
-            :class:`~repro.structures.base.Structure` or a merge of them).
-        structures: the structure instances behind ``handler`` — the
-            hardware models use them to attribute extern memory accesses.
-        pkt_base: address the packet buffer is written to.
-        sym_bytes: how many leading packet bytes were symbolic during
-            contract generation (the replay environment covers exactly
-            those).
-        scalar_order: the function's scalar parameters in call order,
-            following the packet pointer (e.g. ``("len", "in_port",
-            "time")``).  A stimulus that omits ``len`` gets the literal
-            packet length.
+        structures: the structure instances backing the NF's state.  Their
+            handlers merge into the interpreter's one extern dispatch
+            table, and the hardware models use them to attribute extern
+            memory accesses.
+        layout: the NF's :class:`InputLayout`.  The scalar arguments
+            follow ``function``'s declared params (after ``pkt``); a
+            stimulus that omits ``len`` gets the literal packet length.
         capture_output: when True, each :meth:`run` also reads the packet
             buffer back out of NF memory into :attr:`last_packet` — the
             post-rewrite bytes a downstream hop of a service graph
@@ -96,24 +188,19 @@ class NFHarness:
         module: Module,
         function: str,
         *,
-        handler: ExternHandler,
-        structures: Tuple[Structure, ...] = (),
-        pkt_base: int,
-        sym_bytes: int,
-        scalar_order: Tuple[str, ...] = ("len",),
+        structures: Tuple[Structure, ...],
+        layout: InputLayout,
         capture_output: bool = False,
     ) -> None:
-        self.name = name
-        self.module = module
-        self.function = function
-        self.handler = handler
         # Refuse ambiguous extern manglings up front (`a_b`+`c` vs `a`+`b_c`):
         # a collision here would cross-wire cost attribution silently.
         check_extern_collisions(structures)
+        self.name = name
+        self.module = module
+        self.function = function
         self.structures = structures
-        self.pkt_base = pkt_base
-        self.sym_bytes = sym_bytes
-        self.scalar_order = scalar_order
+        self.layout = layout
+        self.scalar_order = _scalar_params(module, function)
         self.capture_output = capture_output
         #: Egress packet bytes of the last :meth:`run` (post NF rewrites);
         #: only populated when ``capture_output`` is on.
@@ -123,6 +210,9 @@ class NFHarness:
         #: plain replay needs — and switched on by the replayer when a
         #: cache-simulating hardware model is in the model set.
         self.record_accesses: bool = False
+        handler = ExternHandler()
+        for structure in structures:
+            handler.merge(structure)
         self._interpreter = Interpreter(module, handler=handler)
         self._scalar_memo: Optional[Tuple[Stimulus, Dict[str, int]]] = None
 
@@ -148,18 +238,19 @@ class NFHarness:
     def run(self, stimulus: Stimulus) -> Tuple[Optional[int], ExecutionTrace]:
         """Execute one stimulus against the live NF state."""
         scalars = self.scalars_for(stimulus)
+        pkt_base = self.layout.pkt_base
         memory = Memory()
-        memory.write_bytes(self.pkt_base, stimulus.packet)
-        args = [self.pkt_base] + [scalars[name] for name in self.scalar_order]
+        memory.write_bytes(pkt_base, stimulus.packet)
+        args = [pkt_base] + [scalars[name] for name in self.scalar_order]
         # Plain replay only consumes aggregate counts; the address stream
         # is materialised only when a cache simulator will consume it.
         trace = ExecutionTrace(record_accesses=self.record_accesses)
         result = self._interpreter.run(self.function, args, memory=memory, trace=trace)
         if self.capture_output:
-            self.last_packet = memory.read_bytes(self.pkt_base, len(stimulus.packet))
+            self.last_packet = memory.read_bytes(pkt_base, len(stimulus.packet))
         return result
 
     def env(self, stimulus: Stimulus, trace: ExecutionTrace) -> Dict[str, int]:
         """Build the replay environment of one executed stimulus."""
         scalars = self.scalars_for(stimulus)
-        return replay_env(stimulus.packet, self.sym_bytes, trace, **scalars)
+        return replay_env(stimulus.packet, self.layout.sym_bytes, trace, **scalars)

@@ -42,32 +42,30 @@ check through :data:`SPEC`.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.audit.ct import CONSTANT_TIME, SecretClassSet
-from repro.core.bolt import Bolt, BoltConfig
+from repro.core.bolt import BoltConfig
 from repro.core.contract import PerformanceContract
 from repro.core.input_class import InputClass
-from repro.core.pcv import PCVRegistry
-from repro.nf.replay import NFHarness, replay_env
+from repro.nf.replay import InputLayout, NFHarness, generate_nf_contract
 from repro.nf.workloads import NFSpec, Workload, sampled_stimuli
 from repro.nfil.builder import FunctionBuilder
 from repro.nfil.program import Module
-from repro.nfil.tracer import ExecutionTrace
 from repro.nfil.validate import validate_module
-from repro.structures import NOT_FOUND, LpmTrie, StructureModel
+from repro.structures import NOT_FOUND, LpmTrie
 from repro.structures.lpm import MAX_DEPTH
 from repro.traffic.generators import Stimulus
 from repro.traffic.packets import ipv4_frame
-from repro.sym.expr import BV, Const, Sym
+from repro.sym.expr import Const
 from repro.sym.paths import Path
-from repro.sym.state import SymbolicMemory
 
 __all__ = [
     "DROP_NO_ROUTE",
     "DROP_NON_IP",
     "DROP_SHORT",
     "DROP_TTL",
+    "LAYOUT",
     "MAX_PORTS",
     "MIN_IPV4_FRAME",
     "NOT_FOUND",
@@ -82,9 +80,6 @@ __all__ = [
     "router_adversarial",
     "router_fib_routes",
     "router_harness",
-    "router_registry",
-    "router_replay_env",
-    "router_symbolic_inputs",
 ]
 
 #: Entry function of the router.
@@ -96,6 +91,8 @@ PKT_BASE = 0x1000
 MIN_IPV4_FRAME = 34
 #: How many leading packet bytes are made symbolic during analysis.
 PKT_SYM_BYTES = MIN_IPV4_FRAME
+#: The router's inputs: ``pkt`` at PKT_BASE; ``len`` is unconstrained.
+LAYOUT = InputLayout(PKT_BASE, PKT_SYM_BYTES)
 
 #: EtherType 0x0800 (IPv4) as read by a little-endian 16-bit load.
 ETHERTYPE_IPV4_LE = 0x0008
@@ -113,11 +110,6 @@ DROP_NO_ROUTE = 0xFFF3
 def make_routing_table() -> LpmTrie:
     """Build the router's FIB: an LPM trie storing egress ports."""
     return LpmTrie("rt", value_bound=MAX_PORTS)
-
-
-def router_registry() -> PCVRegistry:
-    """PCVs of the router contract (from the trie's structure contract)."""
-    return make_routing_table().registry()
 
 
 # --------------------------------------------------------------------------- #
@@ -179,16 +171,8 @@ def build_router_module() -> Module:
 
 
 # --------------------------------------------------------------------------- #
-# Contract generation and concrete replay glue
+# Contract generation
 # --------------------------------------------------------------------------- #
-def router_symbolic_inputs() -> Tuple[List[BV], SymbolicMemory, List[BV]]:
-    """Symbolic initial state of one router invocation."""
-    memory = SymbolicMemory()
-    memory.write_symbolic(PKT_BASE, PKT_SYM_BYTES, "pkt")
-    args: List[BV] = [Const(PKT_BASE, 64), Sym("len", 64)]
-    return args, memory, []
-
-
 _CLASS_DESCRIPTIONS = {
     "short": "frame shorter than Ethernet + IPv4 headers; dropped unparsed",
     "non_ip": "EtherType is not IPv4; frame dropped",
@@ -218,28 +202,14 @@ def generate_router_contract(
     *, config: Optional[BoltConfig] = None
 ) -> PerformanceContract:
     """Run BOLT end-to-end on the router and return its contract."""
-    module = build_router_module()
-    if config is None:
-        config = BoltConfig(classifier=classify_router_path)
-    elif config.classifier is None:
-        config.classifier = classify_router_path
-    table = make_routing_table()
-    bolt = Bolt(
-        module,
+    return generate_nf_contract(
+        build_router_module(),
         ROUTER_FUNCTION,
-        model=StructureModel(table),
-        registry=table.registry(),
+        (make_routing_table(),),
+        LAYOUT,
+        classify_router_path,
         config=config,
     )
-    args, memory, constraints = router_symbolic_inputs()
-    return bolt.generate(args, memory=memory, constraints=constraints)
-
-
-def router_replay_env(
-    packet: bytes, length: int, trace: ExecutionTrace
-) -> Dict[str, int]:
-    """Build the symbol assignment a concrete router execution matches."""
-    return replay_env(packet, PKT_SYM_BYTES, trace, len=length)
 
 
 def ipv4_packet(
@@ -291,11 +261,8 @@ def router_harness(routes: Optional[Sequence[Tuple[int, int, int]]] = None) -> N
         "router",
         build_router_module(),
         ROUTER_FUNCTION,
-        handler=fib,
         structures=(fib,),
-        pkt_base=PKT_BASE,
-        sym_bytes=PKT_SYM_BYTES,
-        scalar_order=("len",),
+        layout=LAYOUT,
     )
 
 

@@ -320,9 +320,9 @@ class SymbolicEngine:
         # Conservative feasibility: keep a side unless the solver proves it
         # infeasible (UNKNOWN => keep).  Both queries flow through the
         # solver's memoisation layer: the shared path-condition prefix is
-        # canonicalised once, a cached UNSAT prefix refutes a side without
-        # solving, and the verdict cached here is what `_finalise` reuses
-        # when it asks for the surviving side's model.
+        # canonicalised once (by node identity), and the verdict cached
+        # for this exact conjunction is what `_finalise` reuses when it
+        # asks for the surviving side's model.
         then_ok = self.solver.is_feasible(state.path_condition + [condition])
         else_ok = self.solver.is_feasible(state.path_condition + [negated])
         if not then_ok and not else_ok:

@@ -44,7 +44,6 @@ from repro.traffic.replayer import (
     Replayer,
     ReplayResult,
     TAIL_PERCENTILES,
-    tail_envelopes,
 )
 
 __all__ = [
@@ -72,7 +71,6 @@ __all__ = [
     "nat_frame",
     "read_pcap",
     "sample_capture",
-    "tail_envelopes",
     "uniform_indices",
     "write_pcap",
     "zipf_indices",

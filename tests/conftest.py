@@ -3,8 +3,8 @@
 Contract generation is the expensive step (symbolic execution of every
 structure operation per input class); the session-scoped fixtures below
 run it once and share the results between the diff, audit and property
-test files, which would otherwise each regenerate the same four NF
-contracts plus the composed graph contract.
+test files, which would otherwise each regenerate the same six NF
+contracts plus the composed graph contracts.
 """
 
 import pytest
@@ -16,9 +16,10 @@ from repro import cli
 def gate_targets():
     """``name -> (contract, structures)`` for every gated target.
 
-    Exactly what ``contract-diff``/``ct-audit`` regenerate: the four NFs'
-    bench-geometry contracts plus the lb_nat_router graph's composed
-    contract, each with the live structure instances behind its PCVs.
+    Exactly what ``contract-diff``/``ct-audit`` regenerate: every
+    registered NF's bench-geometry contract plus each service graph's
+    composed contract, each with the live structure instances behind its
+    PCVs.
     """
     return {
         name: (contract, structures)

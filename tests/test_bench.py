@@ -1,8 +1,11 @@
 """The evaluation bench: `python -m repro.cli bench` end to end."""
 
 import json
+from dataclasses import replace
+from fractions import Fraction
 
 from repro import cli
+from repro.core import ContractEntry, PerformanceContract
 
 
 def test_bench_writes_a_green_report(tmp_path, capsys):
@@ -221,15 +224,31 @@ def test_bench_cells_record_ordered_simulated_tails(tmp_path):
     assert checked > 100  # the whole matrix reported distributions
 
 
-def test_bench_goes_red_when_a_tail_envelope_is_doctored(monkeypatch, tmp_path, capsys):
-    """Zeroing the predicted envelopes must surface as tail violations —
-    the distribution check is live, not vacuously green."""
-    from repro.traffic import replayer as replayer_module
+def test_bench_goes_red_when_the_contract_is_doctored_below_the_real_cost(
+    monkeypatch, tmp_path, capsys
+):
+    """Halving every bridge bound must surface as per-packet cycle
+    violations — the check that also holds the tails under their
+    envelopes (sorted dominance) is live, not vacuously green."""
+    bridge = next(spec for spec in cli.NF_MATRIX if spec.name == "bridge")
+
+    def doctored_contract():
+        real = bridge.bench_contract()
+        return PerformanceContract(
+            real.nf_name,
+            registry=real.registry,
+            entries=[
+                ContractEntry(
+                    entry.input_class,
+                    {metric: expr.scaled(Fraction(1, 2)) for metric, expr in entry.exprs.items()},
+                    entry.paths,
+                )
+                for entry in real.entries
+            ],
+        )
 
     monkeypatch.setattr(
-        replayer_module,
-        "tail_envelopes",
-        lambda predicted_samples: {p: 0 for p in replayer_module.TAIL_PERCENTILES},
+        cli, "NF_MATRIX", (replace(bridge, bench_contract=doctored_contract),)
     )
     output = tmp_path / "BENCH_eval.json"
     code = cli.main(
@@ -244,9 +263,7 @@ def test_bench_goes_red_when_a_tail_envelope_is_doctored(monkeypatch, tmp_path, 
         for workload in report["nfs"]["bridge"]["workloads"].values()
         for violation in workload["violations"]
     ]
-    assert violations
-    assert all("exceeds predicted envelope" in v for v in violations)
-    assert any("measured p99" in v for v in violations)
+    assert any("cycles exceeds predicted" in v for v in violations)
 
 
 def test_bench_models_filter_restricts_the_matrix(tmp_path):

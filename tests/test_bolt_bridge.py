@@ -11,12 +11,13 @@ from repro.nf.bridge import (
     BRIDGE_FUNCTION,
     DROP,
     FLOOD,
+    LAYOUT,
     PKT_BASE,
-    bridge_replay_env,
     build_bridge_module,
     generate_bridge_contract,
     make_bridge_table,
 )
+from repro.nf.replay import replay_env
 from repro.nfil import Interpreter, Memory
 
 CAPACITY = 16
@@ -123,7 +124,9 @@ def test_contract_bounds_100_replayed_packets(contract):
         time = n * 3
         result, trace = _run(interp, packet, port, time)
 
-        env = bridge_replay_env(packet, len(packet), port, time, trace)
+        env = replay_env(
+            packet, LAYOUT.sym_bytes, trace, len=len(packet), in_port=port, time=time
+        )
         entry = contract.classify(env)
         assert entry is not None, f"replay {n} not covered by any contract entry"
         classes_seen.add(entry.input_class.name)
@@ -216,9 +219,13 @@ def test_replay_of_symbolic_witnesses(contract):
                 ],
                 memory=memory,
             )
-            env = bridge_replay_env(
-                packet, inputs.get("len", 0), inputs.get("in_port", 0),
-                inputs.get("time", 0), trace,
+            env = replay_env(
+                packet,
+                LAYOUT.sym_bytes,
+                trace,
+                len=inputs.get("len", 0),
+                in_port=inputs.get("in_port", 0),
+                time=inputs.get("time", 0),
             )
             assert path.covers(env), (
                 f"witness for path {path.pid} ({entry.input_class.name}) "
@@ -232,6 +239,15 @@ def test_custom_bolt_config_keeps_bridge_classifier():
 
     custom = generate_bridge_contract(capacity=CAPACITY, config=BoltConfig(max_paths=64))
     assert sorted(custom.class_names()) == ["hairpin", "hit", "miss", "short"]
+
+
+def test_contract_generation_leaves_the_callers_config_untouched():
+    """The bridge classifier applies to the run, not to the caller's config."""
+    from repro.core import BoltConfig
+
+    config = BoltConfig(max_paths=64)
+    generate_bridge_contract(capacity=8, config=config)
+    assert config.classifier is None
 
 
 def test_distilled_bridge_contract_renders(contract):

@@ -33,6 +33,7 @@ from repro.core.diff import SCHEMA
 GATE_NAMES = [spec.name for spec in cli.NF_MATRIX] + [
     spec.name for spec in cli.GRAPH_MATRIX
 ]
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 # --------------------------------------------------------------------------- #
@@ -156,10 +157,9 @@ def test_doctored_firewall_golden_turns_the_gate_red(tmp_path, capsys):
     """The satellite's sabotage check, through the CLI gate itself: doctor
     the committed firewall golden's ``outbound_new`` constant and the
     contract-diff command must exit 1 naming the class."""
-    golden_dir = Path(__file__).parent / "golden"
     sandbox = tmp_path / "golden"
     sandbox.mkdir()
-    for path in golden_dir.glob("*.json"):
+    for path in GOLDEN_DIR.glob("*.json"):
         (sandbox / path.name).write_text(path.read_text())
     payload = json.loads((sandbox / "firewall.json").read_text())
     entry = next(e for e in payload["entries"] if e["class"] == "outbound_new")
@@ -179,10 +179,9 @@ def test_doctored_tail_column_turns_the_gate_red(tmp_path, capsys):
     """Tail drift is drift: lowering the NAT golden's ``cycles_p99``
     constant (the golden promises a tighter tail than the tree delivers)
     must fail contract-diff naming the class and the percentile column."""
-    golden_dir = Path(__file__).parent / "golden"
     sandbox = tmp_path / "golden"
     sandbox.mkdir()
-    for path in golden_dir.glob("*.json"):
+    for path in GOLDEN_DIR.glob("*.json"):
         (sandbox / path.name).write_text(path.read_text())
     payload = json.loads((sandbox / "nat.json").read_text())
     entry = next(e for e in payload["entries"] if e["class"] == "external_miss")
@@ -198,10 +197,10 @@ def test_doctored_tail_column_turns_the_gate_red(tmp_path, capsys):
     assert "CONTRACT DIFF FAILED" in printed
 
 
-def test_checked_in_goldens_match_the_tree(gate_targets):
-    """The gate itself, as a test: the committed goldens describe HEAD."""
-    golden_dir = Path(__file__).parent / "golden"
-    for name, (contract, _) in gate_targets.items():
-        golden = load_contract(str(golden_dir / f"{name}.json"))
-        diff = diff_contracts(golden, contract)
-        assert diff.ok, f"{name}: {diff.render()}"
+@pytest.mark.parametrize("name", GATE_NAMES)
+def test_checked_in_goldens_match_the_tree(name, gate_targets):
+    """The gate itself, as a test: each committed golden describes HEAD."""
+    contract, structures = gate_targets[name]
+    golden = load_contract(str(GOLDEN_DIR / f"{name}.json"))
+    diff = diff_contracts(golden, contract, models=cli._bench_models(), structures=structures)
+    assert diff.ok, diff.render()

@@ -22,6 +22,7 @@ from repro.nf.firewall import (
     DROP_UNSOLICITED,
     FIREWALL_FUNCTION,
     LAN_PORT,
+    LAYOUT,
     MIN_FW_FRAME,
     PKT_BASE,
     SPEC,
@@ -29,12 +30,12 @@ from repro.nf.firewall import (
     firewall_adversarial,
     firewall_harness,
     firewall_header_flood,
-    firewall_replay_env,
     firewall_scan_sweep,
     generate_firewall_contract,
     make_firewall_state,
 )
 from repro.nf.workloads import WAN_CLIENT, WAN_SERVER
+from repro.nf.replay import replay_env
 from repro.nfil import ExternHandler, Interpreter, Memory
 from repro.traffic import Replayer, Stimulus, nat_frame
 
@@ -178,7 +179,9 @@ def test_contract_bounds_150_replayed_packets(contract):
         time = n * 3
         _, trace = _run(interp, packet, in_port=in_port, time=time)
 
-        env = firewall_replay_env(packet, len(packet), in_port, time, trace)
+        env = replay_env(
+            packet, LAYOUT.sym_bytes, trace, len=len(packet), in_port=in_port, time=time
+        )
         entry = contract.classify(env)
         assert entry is not None, f"replay {n} not covered by any contract entry"
         classes_seen.add(entry.input_class.name)

@@ -20,7 +20,9 @@ from repro.nf.lb import (
     DROP_NO_BACKENDS,
     DROP_NON_IP,
     DROP_SHORT,
+    LAYOUT,
     LB_FUNCTION,
+    MAX_CMD,
     MIN_LB_FRAME,
     PKT_BASE,
     SPEC,
@@ -28,11 +30,13 @@ from repro.nf.lb import (
     generate_lb_contract,
     lb_adversarial,
     lb_harness,
-    lb_replay_env,
     make_lb_state,
 )
+from repro.nf.replay import replay_env, symbolic_inputs
 from repro.nfil import ExternHandler, Interpreter, Memory
 from repro.structures import max_fill_iterations
+from repro.sym import expr as E
+from repro.sym.expr import Const, Sym
 from repro.traffic import Replayer, Stimulus, nat_frame
 
 CAPACITY = 16
@@ -191,7 +195,9 @@ def test_contract_bounds_100_replayed_packets(contract):
         time = n * 2
         _, trace = _run(interp, packet, cmd=cmd, arg=arg, time=time)
 
-        env = lb_replay_env(packet, len(packet), cmd, arg, time, trace)
+        env = replay_env(
+            packet, LAYOUT.sym_bytes, trace, len=len(packet), cmd=cmd, arg=arg, time=time
+        )
         entry = contract.classify(env)
         assert entry is not None, f"replay {n} not covered by any contract entry"
         classes_seen.add(entry.input_class.name)
@@ -252,6 +258,31 @@ def test_workload_streams_cover_every_contract_class(contract):
         assert result.ok, result.violations[:3]
         classes.update(result.classes_seen())
     assert classes == LB_CLASSES
+
+
+def test_shared_symbolic_inputs_follow_the_params_and_the_layout():
+    """The LB's symbolic inputs come from its entry function's params and
+    its layout alone: one symbol per scalar, in param order, and the
+    domain constraints on ``cmd`` and ``arg`` in that same order."""
+    args, memory, constraints = symbolic_inputs(build_lb_module(), LB_FUNCTION, LAYOUT)
+    assert args == [
+        Const(PKT_BASE, 64),
+        Sym("len", 64),
+        Sym("cmd", 64),
+        Sym("arg", 64),
+        Sym("time", 64),
+    ]
+    assert constraints == [
+        E.ult(Sym("cmd", 64), Const(MAX_CMD, 64)),
+        E.ult(Sym("arg", 64), Const(1 << 16, 64)),
+    ]
+    # The constrained terms are the argument objects themselves.
+    assert constraints[0].a is args[2] and constraints[1].a is args[3]
+    # Exactly the layout's leading packet bytes are symbolic.
+    assert memory.read(PKT_BASE + LAYOUT.sym_bytes - 1, 1) == E.zext(
+        Sym(f"pkt[{LAYOUT.sym_bytes - 1}]", 8), 64
+    )
+    assert memory.read(PKT_BASE + LAYOUT.sym_bytes, 1) == Const(0, 64)
 
 
 def test_harness_scalar_order_and_defaults():

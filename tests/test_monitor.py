@@ -18,6 +18,7 @@ from repro.nf.monitor import (
     DROP_SHORT,
     FLAG_COLD,
     FLAG_HOT,
+    LAYOUT,
     MIN_MON_FRAME,
     MON_COUNTER_MAX,
     MON_THRESHOLD,
@@ -30,10 +31,10 @@ from repro.nf.monitor import (
     monitor_adversarial,
     monitor_harness,
     monitor_header_flood,
-    monitor_replay_env,
     monitor_scan_sweep,
 )
 from repro.nf.workloads import WAN_SERVER
+from repro.nf.replay import replay_env
 from repro.nfil import Interpreter, Memory
 from repro.traffic import Replayer, Stimulus, nat_frame
 
@@ -125,7 +126,7 @@ def test_contract_bounds_150_replayed_packets(contract):
             packet = nat_frame(src_ip, src_port, WAN_SERVER, 80)
         _, trace = _run(interp, packet)
 
-        env = monitor_replay_env(packet, len(packet), trace)
+        env = replay_env(packet, LAYOUT.sym_bytes, trace, len=len(packet))
         entry = contract.classify(env)
         assert entry is not None, f"replay {n} not covered by any contract entry"
         classes_seen.add(entry.input_class.name)

@@ -17,6 +17,7 @@ from repro.nf.nat import (
     DROP_SHORT,
     DROP_UNKNOWN_FLOW,
     LAN_PORT,
+    LAYOUT,
     MIN_NAT_FRAME,
     NAT_FUNCTION,
     PKT_BASE,
@@ -27,8 +28,8 @@ from repro.nf.nat import (
     make_nat_tables,
     nat_adversarial,
     nat_harness,
-    nat_replay_env,
 )
+from repro.nf.replay import replay_env
 from repro.nfil import ExternHandler, Interpreter, Memory
 from repro.traffic import Replayer, nat_frame
 
@@ -190,7 +191,9 @@ def test_contract_bounds_100_replayed_packets(contract):
         time = n * 2
         _, trace = _run(interp, packet, in_port, time)
 
-        env = nat_replay_env(packet, len(packet), in_port, time, trace)
+        env = replay_env(
+            packet, LAYOUT.sym_bytes, trace, len=len(packet), in_port=in_port, time=time
+        )
         entry = contract.classify(env)
         assert entry is not None, f"replay {n} not covered by any contract entry"
         classes_seen.add(entry.input_class.name)

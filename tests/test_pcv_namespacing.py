@@ -14,7 +14,7 @@ from repro.nfil.builder import FunctionBuilder
 from repro.nfil.program import Module
 from repro.nfil.validate import validate_module
 from repro.core.bolt import Bolt, BoltConfig
-from repro.nf.replay import NFHarness
+from repro.nf.replay import InputLayout, NFHarness
 from repro.nfil import ExternHandler
 from repro.structures import (
     ExpiringMap,
@@ -192,10 +192,8 @@ def test_mangled_extern_collisions_are_rejected_everywhere():
             "toy",
             Module("toy"),
             "f",
-            handler=ExternHandler(),
             structures=colliding,
-            pkt_base=0x1000,
-            sym_bytes=0,
+            layout=InputLayout(pkt_base=0x1000, sym_bytes=0),
         )
     # The module-level extern declarations refuse the same collision.
     module = Module("collide")

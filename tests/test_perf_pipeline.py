@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core import Metric, PerfExpr
+from repro.core import PerfExpr
 from repro.hw import ConservativeModel, RealisticModel
 from repro.nf import bridge
 from repro.nf.bridge import generate_bridge_contract
@@ -45,7 +45,7 @@ def test_exact_verdict_cache_answers_repeat_queries():
     assert solver.stats.cache_misses == 1
 
 
-def test_refuted_prefix_prunes_every_superset():
+def test_superset_of_a_refuted_conjunction_stays_unsat():
     x, y = Sym("x", 16), Sym("y", 16)
     contradiction = [E.eq(x, Const(1, 16)), E.eq(x, Const(2, 16))]
     solver = Solver()

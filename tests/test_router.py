@@ -12,14 +12,15 @@ from repro.nf.router import (
     DROP_NON_IP,
     DROP_SHORT,
     DROP_TTL,
+    LAYOUT,
     PKT_BASE,
     ROUTER_FUNCTION,
     build_router_module,
     generate_router_contract,
     ipv4_packet,
     make_routing_table,
-    router_replay_env,
 )
+from repro.nf.replay import replay_env
 from repro.nfil import Interpreter, Memory
 from repro.structures.lpm import MAX_DEPTH
 
@@ -125,7 +126,7 @@ def test_contract_bounds_100_replayed_packets(contract):
             packet = ipv4_packet(dst)
         _, trace = _run(interp, packet)
 
-        env = router_replay_env(packet, len(packet), trace)
+        env = replay_env(packet, LAYOUT.sym_bytes, trace, len=len(packet))
         entry = contract.classify(env)
         assert entry is not None, f"replay {n} not covered by any contract entry"
         classes_seen.add(entry.input_class.name)
