@@ -231,6 +231,29 @@ class PerfExpr:
         ``ValueError`` guards this).  Divide by ``scale`` (or keep the
         scaled units) at report time only.
         """
+        return eval("lambda b: " + self._scaled_source(scale), {})  # noqa: S307
+
+    def compile_ceil(self) -> Callable[[Mapping[str, Number]], int]:
+        """Compile :meth:`evaluate_int` into one integer closure, shared by value.
+
+        The closure evaluates the polynomial at its clearing scale
+        (:meth:`denominator_lcm`) and rounds up with integer floor
+        division, so it equals :meth:`evaluate_int` exactly.  Equal
+        expressions share one closure: every structure instance of a kind
+        charges the same few formulas.
+        """
+        program = _CEIL_PROGRAMS.get(self)
+        if program is None:
+            scale = self.denominator_lcm()
+            source = self._scaled_source(scale)
+            if scale != 1:
+                source = f"-(-({source}) // {scale})"
+            program = eval("lambda b: " + source, {})  # noqa: S307
+            _CEIL_PROGRAMS[self] = program
+        return program
+
+    def _scaled_source(self, scale: int) -> str:
+        """Python source of ``evaluate() * scale`` over a bindings dict ``b``."""
         parts: list[str] = []
         for monomial, coeff in sorted(self._terms.items()):
             scaled = coeff * scale
@@ -241,8 +264,7 @@ class PerfExpr:
                 )
             factors = [str(scaled.numerator)] + [f"b[{name!r}]" for name in monomial]
             parts.append(" * ".join(factors))
-        source = "lambda b: " + (" + ".join(parts) if parts else "0")
-        return eval(source, {})  # noqa: S307 - generated from our own terms
+        return " + ".join(parts) if parts else "0"
 
     def rename(self, mapping: Mapping[str, str]) -> "PerfExpr":
         """Return the expression with PCV names replaced per ``mapping``.
@@ -349,11 +371,6 @@ class PerfExpr:
         if not self._terms:
             return "0"
 
-        def sort_key(item: tuple[Monomial, Fraction]) -> tuple[int, Monomial]:
-            monomial, _ = item
-            # Variables first (by degree then name), constant last.
-            return (0 if monomial else 1, (-len(monomial) if False else len(monomial),) + monomial)
-
         parts: list[str] = []
         # Render single-variable terms first, then cross terms, constant last,
         # mirroring the layout of the paper's tables.
@@ -381,3 +398,7 @@ class PerfExpr:
 
     def __repr__(self) -> str:
         return f"PerfExpr({self.render()!r})"
+
+
+#: :meth:`PerfExpr.compile_ceil` closures, by expression value.
+_CEIL_PROGRAMS: Dict[PerfExpr, Callable[[Mapping[str, Number]], int]] = {}

@@ -323,9 +323,11 @@ class GraphReplayer:
 
         def absorb_hop(node: str, outcome: PacketOutcome) -> None:
             key = outcome.class_name if outcome.class_name is not None else "<unclassified>"
-            hop_summaries.setdefault(node, {}).setdefault(key, ClassSummary(key)).absorb(
-                outcome
-            )
+            summaries = hop_summaries.setdefault(node, {})
+            summary = summaries.get(key)
+            if summary is None:
+                summary = summaries[key] = ClassSummary(key, outcome.cycle_scale)
+            summary.absorb(outcome)
             for name, value in outcome.pcvs.items():
                 if value > max_pcvs.get(name, 0):
                     max_pcvs[name] = value

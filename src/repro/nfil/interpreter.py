@@ -12,6 +12,15 @@ the call's value together with the instrumented cost of serving it and the
 PCV values it observed, so the trace carries everything a performance
 contract must bound.
 
+Execution is pre-decoded: the first time a function runs, each basic block
+is translated once into one generated Python function (a *segment*; a block
+splits after every internal call) whose body is the block's instructions as
+straight-line integer code over local variables.  A segment adds its
+instruction, load and store counts to the trace in bulk, records each
+access and extern call in execution order, and returns where control goes
+next.  Segments are compiled once per distinct generated source and shared
+by every interpreter.
+
 The arithmetic here deliberately mirrors the semantics of
 :mod:`repro.sym.expr` (which the symbolic engine uses) without importing
 it — NFIL is the bottom layer and must stay import-free of ``repro.sym`` —
@@ -35,7 +44,6 @@ from repro.nfil.instructions import (
     Jmp,
     Load,
     Operand,
-    Reg,
     Ret,
     Select,
     Store,
@@ -43,7 +51,7 @@ from repro.nfil.instructions import (
     WORD_MASK,
 )
 from repro.nfil.program import Function, Module
-from repro.nfil.tracer import ExecutionTrace
+from repro.nfil.tracer import ExecutionTrace, MemAccess
 
 __all__ = [
     "ExternHandler",
@@ -63,46 +71,12 @@ class StepLimitExceeded(InterpreterError):
     """The execution exceeded the configured step budget."""
 
 
-def _truncate(value: int) -> int:
-    return value & WORD_MASK
-
-
-def _to_signed(value: int) -> int:
-    value &= WORD_MASK
-    if value >= 1 << (WORD_BITS - 1):
-        value -= 1 << WORD_BITS
-    return value
-
-
-_BINOP_FUNCS: Dict[str, Callable[[int, int], int]] = {
-    "add": lambda a, b: _truncate(a + b),
-    "sub": lambda a, b: _truncate(a - b),
-    "mul": lambda a, b: _truncate(a * b),
-    "udiv": lambda a, b: _truncate(a // b) if b != 0 else WORD_MASK,
-    "urem": lambda a, b: _truncate(a % b) if b != 0 else a,
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-    "shl": lambda a, b: _truncate(a << b) if b < WORD_BITS else 0,
-    "lshr": lambda a, b: (a >> b) if b < WORD_BITS else 0,
-}
-
-_CMP_FUNCS: Dict[str, Callable[[int, int], int]] = {
-    "eq": lambda a, b: int(a == b),
-    "ne": lambda a, b: int(a != b),
-    "ult": lambda a, b: int(a < b),
-    "ule": lambda a, b: int(a <= b),
-    "ugt": lambda a, b: int(a > b),
-    "uge": lambda a, b: int(a >= b),
-    "slt": lambda a, b: int(_to_signed(a) < _to_signed(b)),
-    "sle": lambda a, b: int(_to_signed(a) <= _to_signed(b)),
-    "sgt": lambda a, b: int(_to_signed(a) > _to_signed(b)),
-    "sge": lambda a, b: int(_to_signed(a) >= _to_signed(b)),
-}
-
-
 class Memory:
-    """Sparse byte-addressable memory; unwritten bytes read as zero."""
+    """Sparse byte-addressable memory; unwritten bytes read as zero.
+
+    The interpreter's decoded blocks read and write the byte map directly,
+    with the same little-endian layout as :meth:`load` and :meth:`store`.
+    """
 
     def __init__(self) -> None:
         self._bytes: Dict[int, int] = {}
@@ -121,8 +95,7 @@ class Memory:
 
     def write_bytes(self, addr: int, data: bytes) -> None:
         """Bulk-write raw bytes (e.g. a packet buffer)."""
-        for offset, byte in enumerate(data):
-            self._bytes[addr + offset] = byte
+        self._bytes.update(zip(range(addr, addr + len(data)), data))
 
     def read_bytes(self, addr: int, size: int) -> bytes:
         """Bulk-read raw bytes."""
@@ -201,17 +174,324 @@ class ExternHandler:
         return result
 
 
-@dataclass
-class _Frame:
-    function: Function
-    block: str
-    index: int
-    registers: Dict[str, int]
-    ret_dest: Optional[str]
+# --------------------------------------------------------------------------- #
+# Decoding: each block becomes generated straight-line Python
+# --------------------------------------------------------------------------- #
+_MASK = hex(WORD_MASK)
+_SIGN = hex(1 << (WORD_BITS - 1))
+
+#: Source of each binary op over two atom operands (locals or literals).
+_BINARY = {
+    "add": "({a} + {b}) & " + _MASK,
+    "sub": "({a} - {b}) & " + _MASK,
+    "mul": "({a} * {b}) & " + _MASK,
+    "udiv": "({a} // {b} if {b} else " + _MASK + ")",
+    "urem": "({a} % {b} if {b} else {a})",
+    "and": "{a} & {b}",
+    "or": "{a} | {b}",
+    "xor": "{a} ^ {b}",
+    "shl": "(({a} << {b}) & " + _MASK + f" if {{b}} < {WORD_BITS} else 0)",
+    "lshr": f"({{a}} >> {{b}} if {{b}} < {WORD_BITS} else 0)",
+}
+
+#: Source of each comparison; flipping the sign bit turns signed order
+#: into unsigned order on 64-bit words.
+_COMPARE = {
+    "eq": "{a} == {b}",
+    "ne": "{a} != {b}",
+    "ult": "{a} < {b}",
+    "ule": "{a} <= {b}",
+    "ugt": "{a} > {b}",
+    "uge": "{a} >= {b}",
+    "slt": f"({{a}} ^ {_SIGN}) < ({{b}} ^ {_SIGN})",
+    "sle": f"({{a}} ^ {_SIGN}) <= ({{b}} ^ {_SIGN})",
+    "sgt": f"({{a}} ^ {_SIGN}) > ({{b}} ^ {_SIGN})",
+    "sge": f"({{a}} ^ {_SIGN}) >= ({{b}} ^ {_SIGN})",
+}
+
+
+class _Call:
+    """A segment's exit into an internal function call."""
+
+    __slots__ = ("callee", "args", "dest", "resume")
+
+    def __init__(
+        self, callee: str, args: Tuple[int, ...], dest: Optional[str], resume: Tuple[str, int]
+    ) -> None:
+        self.callee = callee
+        self.args = args
+        self.dest = dest
+        self.resume = resume
+
+
+class _Return:
+    """A segment's exit through ``ret``."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: Optional[int]) -> None:
+        self.value = value
+
+
+#: A segment runs as ``segment(registers, memory, trace, handle)`` and returns
+#: the label of the next block, a :class:`_Call` or a :class:`_Return`.
+Segment = Callable[..., Union[str, _Call, _Return]]
+
+#: Where control can enter a function: a block label, or ``(label, index)``
+#: for the rest of a block after an internal call returns.
+SegmentKey = Union[str, Tuple[str, int]]
+
+_SEGMENT_GLOBALS: Dict[str, object] = {
+    "InterpreterError": InterpreterError,
+    "MemAccess": MemAccess,
+    "_Call": _Call,
+    "_Return": _Return,
+}
+
+#: Compiled segments by generated source: equal blocks of different modules
+#: (every harness builds its own copy of an NF) share one function.
+_SEGMENTS: Dict[str, Segment] = {}
+
+
+def _split(function: Function, module: Module) -> List[Tuple[str, int, List[Instruction]]]:
+    """Cut every block after its first terminator and after each internal call.
+
+    Returns ``(label, start index, instructions)`` per segment.  Instructions
+    past a block's first terminator never run.  A block that ends without a
+    terminator keeps a final (possibly empty) segment, which raises the
+    fall-through error once it is reached.
+    """
+    segments: List[Tuple[str, int, List[Instruction]]] = []
+    for label, block in function.blocks.items():
+        start = 0
+        for index, instruction in enumerate(block.instructions):
+            terminator = instruction.is_terminator()
+            if terminator or (
+                isinstance(instruction, Call) and not module.is_extern(instruction.callee)
+            ):
+                segments.append((label, start, block.instructions[start : index + 1]))
+                start = index + 1
+                if terminator:
+                    break
+        else:
+            segments.append((label, start, block.instructions[start:]))
+    return segments
+
+
+def _live_in(instructions: Sequence[Instruction]) -> set[str]:
+    """Registers a segment reads before it defines them."""
+    defined: set[str] = set()
+    read: set[str] = set()
+    for instruction in instructions:
+        for operand in instruction.operands():
+            if not isinstance(operand, Imm) and operand.name not in defined:
+                read.add(operand.name)
+        dest = instruction.defines()
+        if dest is not None:
+            defined.add(dest)
+    return read
+
+
+class _SegmentWriter:
+    """Writes the Python source of one segment.
+
+    Each register value lives in a local variable while the segment runs.
+    A register the segment did not define is read from the frame's register
+    dict at its first use; registers that some segment of the function
+    reads that way are written back to the dict before the segment exits.
+    """
+
+    def __init__(
+        self, function: str, label: str, start: int, module: Module, shared: set[str]
+    ) -> None:
+        self.function = function
+        self.label = label
+        self.start = start
+        self.module = module
+        self.shared = shared
+        self.lines: List[str] = []
+        self.locals: Dict[str, str] = {}
+        self.defined: Dict[str, str] = {}
+        self.names = 0
+        #: Set once the segment has emitted its exit (a jump, call or return).
+        self.exits = False
+
+    def emit(self, depth: int, line: str) -> None:
+        self.lines.append("    " * depth + line)
+
+    def fresh(self) -> str:
+        self.names += 1
+        return f"v{self.names}"
+
+    def read(self, operand: Operand, depth: int = 1, *, keep: bool = True) -> str:
+        """Return the atom naming ``operand``'s value, loading it if needed."""
+        if isinstance(operand, Imm):
+            return str(operand.value)
+        local = self.locals.get(operand.name)
+        if local is not None:
+            return local
+        local = self.fresh()
+        message = f"{self.function}: read of undefined register %{operand.name}"
+        self.emit(depth, "try:")
+        self.emit(depth + 1, f"{local} = r[{operand.name!r}]")
+        self.emit(depth, "except KeyError:")
+        self.emit(depth + 1, f"raise InterpreterError({message!r}) from None")
+        if keep:
+            self.locals[operand.name] = local
+        return local
+
+    def define(self, register: str) -> str:
+        local = self.fresh()
+        self.locals[register] = local
+        self.defined[register] = local
+        return local
+
+    def write_back(self) -> None:
+        for register, local in self.defined.items():
+            if register in self.shared:
+                self.emit(1, f"r[{register!r}] = {local}")
+
+    def fail(self, message: str) -> None:
+        self.emit(1, f"raise InterpreterError({message!r})")
+
+    def source(self, instructions: Sequence[Instruction]) -> str:
+        loads = sum(isinstance(instruction, Load) for instruction in instructions)
+        stores = sum(isinstance(instruction, Store) for instruction in instructions)
+        self.emit(1, f"t.instructions += {len(instructions)}")
+        if loads:
+            self.emit(1, f"t.mem_reads += {loads}")
+        if stores:
+            self.emit(1, f"t.mem_writes += {stores}")
+        if loads or stores:
+            self.emit(1, "b = m._bytes")
+            self.emit(1, "acc = t.accesses.append if t.record_accesses else None")
+        for index, instruction in enumerate(instructions):
+            self.instruction(instruction, self.start + index)
+        if not self.exits:
+            self.fail(f"{self.function}:{self.label} fell through without terminator")
+        body = "\n".join(self.lines)
+        return f"def segment(r, m, t, h):\n{body}\n"
+
+    def instruction(self, instruction: Instruction, index: int) -> None:
+        if isinstance(instruction, ConstInstr):
+            self.emit(1, f"{self.define(instruction.dest)} = {instruction.value & WORD_MASK}")
+        elif isinstance(instruction, BinOp):
+            a, b = self.read(instruction.a), self.read(instruction.b)
+            expr = _BINARY[instruction.op].format(a=a, b=b)
+            self.emit(1, f"{self.define(instruction.dest)} = {expr}")
+        elif isinstance(instruction, Cmp):
+            a, b = self.read(instruction.a), self.read(instruction.b)
+            expr = _COMPARE[instruction.op].format(a=a, b=b)
+            self.emit(1, f"{self.define(instruction.dest)} = 1 if {expr} else 0")
+        elif isinstance(instruction, Select):
+            # Only the picked operand is read.  The dest is bound after both
+            # branches, since an operand may be the dest register itself.
+            cond = self.read(instruction.cond)
+            dest = self.fresh()
+            self.emit(1, f"if {cond}:")
+            self.emit(2, f"{dest} = {self.read(instruction.a, 2, keep=False)}")
+            self.emit(1, "else:")
+            self.emit(2, f"{dest} = {self.read(instruction.b, 2, keep=False)}")
+            self.locals[instruction.dest] = self.defined[instruction.dest] = dest
+        elif isinstance(instruction, Load):
+            addr = self.read(instruction.addr)
+            self.record(addr, instruction.size, "load")
+            parts = [f"b.get({addr}, 0)"]
+            parts += [f"b.get({addr} + {i}, 0) << {8 * i}" for i in range(1, instruction.size)]
+            self.emit(1, f"{self.define(instruction.dest)} = {' | '.join(parts)}")
+        elif isinstance(instruction, Store):
+            addr, value = self.read(instruction.addr), self.read(instruction.value)
+            self.record(addr, instruction.size, "store")
+            self.emit(1, f"b[{addr}] = {value} & 255")
+            for i in range(1, instruction.size):
+                self.emit(1, f"b[{addr} + {i}] = {value} >> {8 * i} & 255")
+        elif isinstance(instruction, Call):
+            self.call(instruction, index)
+        elif isinstance(instruction, Br):
+            cond = self.read(instruction.cond)
+            self.write_back()
+            then, other = instruction.then_label, instruction.else_label
+            self.emit(1, f"return {then!r} if {cond} else {other!r}")
+            self.exits = True
+        elif isinstance(instruction, Jmp):
+            self.write_back()
+            self.emit(1, f"return {instruction.label!r}")
+            self.exits = True
+        elif isinstance(instruction, Ret):
+            value = "None" if instruction.value is None else self.read(instruction.value)
+            self.emit(1, f"return _Return({value})")
+            self.exits = True
+        else:
+            self.fail(f"cannot execute {type(instruction).__name__}")
+
+    def record(self, addr: str, size: int, kind: str) -> None:
+        self.emit(1, "if acc is not None:")
+        self.emit(2, f"acc(MemAccess({addr}, {size}, {kind!r}, {self.function!r}))")
+
+    def call(self, instruction: Call, index: int) -> None:
+        args = [self.read(arg) for arg in instruction.args]
+        packed = "(" + "".join(f"{arg}, " for arg in args) + ")"
+        name = instruction.callee
+        decl = self.module.externs.get(name)
+        if decl is None:
+            # Internal call: the segment ends here and resumes after it.
+            self.write_back()
+            resume = (self.label, index + 1)
+            self.emit(1, f"return _Call({name!r}, {packed}, {instruction.dest!r}, {resume!r})")
+            self.exits = True
+            return
+        if len(args) != decl.arity:
+            self.fail(f"extern {name} expects {decl.arity} args, got {len(args)}")
+            return
+        packed_local, result = self.fresh(), self.fresh()
+        self.emit(1, f"{packed_local} = {packed}")
+        self.emit(1, f"{result} = h({name!r}, {packed_local}, m)")
+        self.emit(
+            1,
+            f"t.record_extern({name!r}, {packed_local}, {result}.value, "
+            f"instructions={result}.instructions, "
+            f"memory_accesses={result}.memory_accesses, "
+            f"pcvs={result}.pcvs, accesses={result}.accesses)",
+        )
+        if instruction.dest is not None:
+            dest = self.define(instruction.dest)
+            self.emit(1, f"{dest} = {result}.value")
+            self.emit(1, f"if {dest} is None:")
+            message = f"extern {name} returned no value into %{instruction.dest}"
+            self.emit(2, f"raise InterpreterError({message!r})")
+            self.emit(1, f"{dest} &= {_MASK}")
+
+
+def _decode(function: Function, module: Module) -> Dict[SegmentKey, Tuple[Segment, int]]:
+    """Translate every block of ``function`` into ``key -> (segment, steps)``."""
+    segments = _split(function, module)
+    shared: set[str] = set()
+    for _, _, instructions in segments:
+        shared |= _live_in(instructions)
+    table: Dict[SegmentKey, Tuple[Segment, int]] = {}
+    for label, start, instructions in segments:
+        source = _SegmentWriter(function.name, label, start, module, shared).source(instructions)
+        segment = _SEGMENTS.get(source)
+        if segment is None:
+            namespace: Dict[str, Segment] = {}
+            # The file name shows up in tracebacks and profiles.
+            code = compile(source, f"<nfil {function.name}:{label}+{start}>", "exec")
+            exec(code, _SEGMENT_GLOBALS, namespace)  # noqa: S102 - our own source
+            segment = _SEGMENTS[source] = namespace["segment"]
+        table[label if start == 0 else (label, start)] = (segment, len(instructions))
+    return table
 
 
 class Interpreter:
-    """Concrete executor for NFIL modules, doubling as the tracer driver."""
+    """Concrete executor for NFIL modules, doubling as the tracer driver.
+
+    Each function is decoded on its first run.  The decoded code is cached
+    per interpreter together with the :class:`~repro.nfil.program.Function`
+    object it came from and reused only for that same object (compared by
+    identity), so a function replaced in the module is decoded again.  A
+    function, and the module's extern declarations, must not change in
+    place once it has run.
+    """
 
     def __init__(
         self,
@@ -223,6 +503,13 @@ class Interpreter:
         self.module = module
         self.handler = handler or ExternHandler()
         self.max_steps = max_steps
+        self._decoded: Dict[str, Tuple[Function, Dict[SegmentKey, Tuple[Segment, int]]]] = {}
+
+    def _code(self, function: Function) -> Dict[SegmentKey, Tuple[Segment, int]]:
+        cached = self._decoded.get(function.name)
+        if cached is None or cached[0] is not function:
+            cached = self._decoded[function.name] = (function, _decode(function, self.module))
+        return cached[1]
 
     def run(
         self,
@@ -233,6 +520,10 @@ class Interpreter:
         trace: Optional[ExecutionTrace] = None,
     ) -> Tuple[Optional[int], ExecutionTrace]:
         """Execute ``function_name`` on concrete ``args``.
+
+        One step is one executed instruction; a run that would execute more
+        than ``max_steps`` raises :class:`StepLimitExceeded` before the
+        segment that crosses the limit starts.
 
         Returns:
             ``(return value or None, execution trace)``.
@@ -247,151 +538,44 @@ class Interpreter:
         memory = memory if memory is not None else Memory()
         trace = trace if trace is not None else ExecutionTrace()
         registers = {
-            param.name: _truncate(int(value))
-            for param, value in zip(function.params, args)
+            param.name: int(value) & WORD_MASK for param, value in zip(function.params, args)
         }
-        frames: List[_Frame] = [_Frame(function, function.entry, 0, registers, None)]
+        handle = self.handler.handle
+        max_steps = self.max_steps
         steps = 0
-        while frames:
-            if steps >= self.max_steps:
-                raise StepLimitExceeded(f"exceeded {self.max_steps} steps")
-            steps += 1
-            frame = frames[-1]
-            block = frame.function.blocks.get(frame.block)
-            if block is None:
-                raise InterpreterError(f"{frame.function.name}: unknown block {frame.block!r}")
-            if frame.index >= len(block.instructions):
-                raise InterpreterError(
-                    f"{frame.function.name}:{frame.block} fell through without terminator"
-                )
-            instruction = block.instructions[frame.index]
-            frame.index += 1
-            trace.record_instruction()
-            returned = self._step(instruction, frame, frames, memory, trace)
-            if returned is not _NOT_RETURNED:
-                return returned, trace
-        raise InterpreterError("empty frame stack")  # pragma: no cover - defensive
-
-    # ------------------------------------------------------------------ #
-    # Instruction dispatch
-    # ------------------------------------------------------------------ #
-    def _value(self, operand: Operand, frame: _Frame) -> int:
-        if isinstance(operand, Imm):
-            return operand.value
-        if isinstance(operand, Reg):
-            try:
-                return frame.registers[operand.name]
-            except KeyError:
-                raise InterpreterError(
-                    f"{frame.function.name}: read of undefined register %{operand.name}"
-                ) from None
-        raise InterpreterError(f"bad operand {operand!r}")  # pragma: no cover
-
-    def _step(
-        self,
-        instruction: Instruction,
-        frame: _Frame,
-        frames: List[_Frame],
-        memory: Memory,
-        trace: ExecutionTrace,
-    ) -> Optional[int]:
-        regs = frame.registers
-        if isinstance(instruction, ConstInstr):
-            regs[instruction.dest] = _truncate(instruction.value)
-        elif isinstance(instruction, BinOp):
-            a = self._value(instruction.a, frame)
-            b = self._value(instruction.b, frame)
-            regs[instruction.dest] = _BINOP_FUNCS[instruction.op](a, b)
-        elif isinstance(instruction, Cmp):
-            a = self._value(instruction.a, frame)
-            b = self._value(instruction.b, frame)
-            regs[instruction.dest] = _CMP_FUNCS[instruction.op](a, b)
-        elif isinstance(instruction, Select):
-            cond = self._value(instruction.cond, frame)
-            picked = instruction.a if cond != 0 else instruction.b
-            regs[instruction.dest] = self._value(picked, frame)
-        elif isinstance(instruction, Load):
-            addr = self._value(instruction.addr, frame)
-            trace.record_access(addr, instruction.size, "load", frame.function.name)
-            regs[instruction.dest] = memory.load(addr, instruction.size)
-        elif isinstance(instruction, Store):
-            addr = self._value(instruction.addr, frame)
-            value = self._value(instruction.value, frame)
-            trace.record_access(addr, instruction.size, "store", frame.function.name)
-            memory.store(addr, value, instruction.size)
-        elif isinstance(instruction, Br):
-            cond = self._value(instruction.cond, frame)
-            frame.block = instruction.then_label if cond != 0 else instruction.else_label
-            frame.index = 0
-        elif isinstance(instruction, Jmp):
-            frame.block = instruction.label
-            frame.index = 0
-        elif isinstance(instruction, Call):
-            self._call(instruction, frame, frames, memory, trace)
-        elif isinstance(instruction, Ret):
-            value = (
-                self._value(instruction.value, frame)
-                if instruction.value is not None
-                else None
-            )
-            frames.pop()
-            if not frames:
-                return value
-            caller = frames[-1]
-            if caller.ret_dest is not None:
-                if value is None:
+        code = self._code(function)
+        key: SegmentKey = function.entry
+        #: Suspended callers: (function, code, registers, resume key, dest).
+        callers: List[tuple] = []
+        while True:
+            entry = code.get(key)
+            if entry is None:
+                raise InterpreterError(f"{function.name}: unknown block {key!r}")
+            segment, size = entry
+            steps += size
+            if steps > max_steps:
+                raise StepLimitExceeded(f"exceeded {max_steps} steps")
+            outcome = segment(registers, memory, trace, handle)
+            if outcome.__class__ is str:
+                key = outcome
+            elif outcome.__class__ is _Call:
+                callee = self.module.functions.get(outcome.callee)
+                if callee is None:
+                    raise InterpreterError(f"call to unknown symbol {outcome.callee!r}")
+                if len(outcome.args) != len(callee.params):
                     raise InterpreterError(
-                        f"{frame.function.name} returned void into %{caller.ret_dest}"
+                        f"{callee.name} expects {len(callee.params)} args, "
+                        f"got {len(outcome.args)}"
                     )
-                caller.registers[caller.ret_dest] = value
-                caller.ret_dest = None
-        else:  # pragma: no cover - defensive
-            raise InterpreterError(f"cannot execute {type(instruction).__name__}")
-        return _NOT_RETURNED
-
-    def _call(
-        self,
-        instruction: Call,
-        frame: _Frame,
-        frames: List[_Frame],
-        memory: Memory,
-        trace: ExecutionTrace,
-    ) -> None:
-        args = tuple(self._value(arg, frame) for arg in instruction.args)
-        if self.module.is_extern(instruction.callee):
-            decl = self.module.externs[instruction.callee]
-            if len(args) != decl.arity:
-                raise InterpreterError(
-                    f"extern {decl.name} expects {decl.arity} args, got {len(args)}"
-                )
-            result = self.handler.handle(decl.name, args, memory)
-            trace.record_extern(
-                decl.name,
-                args,
-                result.value,
-                instructions=result.instructions,
-                memory_accesses=result.memory_accesses,
-                pcvs=result.pcvs,
-                accesses=result.accesses,
-            )
-            if instruction.dest is not None:
-                if result.value is None:
-                    raise InterpreterError(
-                        f"extern {decl.name} returned no value into %{instruction.dest}"
-                    )
-                frame.registers[instruction.dest] = _truncate(result.value)
-            return
-        callee = self.module.functions.get(instruction.callee)
-        if callee is None:
-            raise InterpreterError(f"call to unknown symbol {instruction.callee!r}")
-        if len(args) != len(callee.params):
-            raise InterpreterError(
-                f"{callee.name} expects {len(callee.params)} args, got {len(args)}"
-            )
-        frame.ret_dest = instruction.dest
-        registers = {param.name: value for param, value in zip(callee.params, args)}
-        frames.append(_Frame(callee, callee.entry, 0, registers, None))
-
-
-#: Sentinel distinguishing "no top-level return yet" from "returned None".
-_NOT_RETURNED = object()
+                callers.append((function, code, registers, outcome.resume, outcome.dest))
+                function, code, key = callee, self._code(callee), callee.entry
+                registers = dict(zip(callee.param_names(), outcome.args))
+            elif not callers:
+                return outcome.value, trace
+            else:
+                returning = function.name
+                function, code, registers, key, dest = callers.pop()
+                if dest is not None:
+                    if outcome.value is None:
+                        raise InterpreterError(f"{returning} returned void into %{dest}")
+                    registers[dest] = outcome.value

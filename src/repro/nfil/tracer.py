@@ -3,8 +3,8 @@
 The paper replays concrete inputs under binary instrumentation to count the
 dynamic instructions and memory accesses of each execution (§3.2).  Here the
 concrete :class:`repro.nfil.interpreter.Interpreter` plays that role: it
-feeds an :class:`ExecutionTrace` one event per executed instruction, memory
-access and extern call.
+feeds an :class:`ExecutionTrace` the instruction, load and store counts of
+every executed block, each memory access and each extern call.
 
 Costs split into two layers, mirroring the Vigor-style separation the paper
 relies on:
@@ -78,10 +78,13 @@ class ExecutionTrace:
         self.mem_writes: int = 0
         self.accesses: List[MemAccess] = []
         self.extern_calls: List[ExternCall] = []
-        self._record_accesses = record_accesses
+        #: Whether :attr:`accesses` lists each access; counts are always kept.
+        self.record_accesses = record_accesses
 
     # ------------------------------------------------------------------ #
-    # Recording (called by the interpreter)
+    # Recording.  The interpreter's decoded blocks add their instruction,
+    # load and store counts to the fields above in bulk, append to
+    # :attr:`accesses` in execution order, and call :meth:`record_extern`.
     # ------------------------------------------------------------------ #
     def record_instruction(self) -> None:
         """Count one executed stateless NFIL instruction."""
@@ -93,7 +96,7 @@ class ExecutionTrace:
             self.mem_writes += 1
         else:
             self.mem_reads += 1
-        if self._record_accesses:
+        if self.record_accesses:
             self.accesses.append(MemAccess(addr, size, kind, function))
 
     def record_extern(
@@ -126,7 +129,7 @@ class ExecutionTrace:
             pcvs=dict(pcvs or {}),
         )
         self.extern_calls.append(call)
-        if self._record_accesses:
+        if self.record_accesses:
             for addr in accesses:
                 self.accesses.append(MemAccess(addr, 8, "load", name))
         return call

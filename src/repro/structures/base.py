@@ -40,7 +40,7 @@ never alias each other's PCVs, contract columns or adversarial bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import re
 import zlib
@@ -113,6 +113,28 @@ def linear_cost(
     }
 
 
+#: What :meth:`Structure.charge` needs of one op: its local PCV symbols, their
+#: qualified names, and the compiled instruction and memory-access formulas.
+_Charging = Tuple[
+    Tuple[str, ...],
+    Tuple[str, ...],
+    Callable[[Mapping[str, int]], int],
+    Callable[[Mapping[str, int]], int],
+]
+
+
+def _compile_cost(op: OpSpec, metric: Metric) -> Callable[[Mapping[str, int]], int]:
+    """The op's ceil closure for ``metric``; a missing metric fails when charged."""
+    expr = op.cost.get(metric)
+    if expr is not None:
+        return expr.compile_ceil()
+
+    def missing(bindings: Mapping[str, int]) -> int:
+        raise KeyError(metric)
+
+    return missing
+
+
 class Structure(ExternHandler):
     """Base class of every stateful structure in the library.
 
@@ -141,16 +163,8 @@ class Structure(ExternHandler):
         # and runs.  256 KiB-aligned regions spread instances across cache
         # sets; a rare name-hash collision merely shares lines.
         self.heap_base = 0x1000_0000 + (zlib.crc32(name.encode("utf-8")) & 0x3FFF) * 0x4_0000
-        # Snapshot the op table once: op() sits on the hot concrete replay
-        # path (every charge() resolves its spec).
+        # Snapshot the op table once; op() and charge() read the snapshot.
         self._ops_by_method: Dict[str, OpSpec] = {op.method: op for op in self.ops()}
-        # Qualified names are also resolved per extern call; precompute them
-        # for every symbol the op table uses.
-        self._qualified: Dict[str, str] = {
-            symbol: qualify_name(name, symbol)
-            for op in self._ops_by_method.values()
-            for symbol in op.pcvs
-        }
         for op in self._ops_by_method.values():
             handler = getattr(self, f"_op_{op.method}", None)
             if handler is None:
@@ -159,6 +173,18 @@ class Structure(ExternHandler):
                     f"but implements no _op_{op.method}"
                 )
             self.register(self.extern_name(op.method), handler)
+        # charge() runs on every extern call of a replay: compile each op's
+        # cost formulas once into integer closures (shared by value across
+        # instances) and resolve its qualified PCV names up front.
+        self._charging: Dict[str, _Charging] = {
+            op.method: (
+                op.pcvs,
+                tuple(qualify_name(name, symbol) for symbol in op.pcvs),
+                _compile_cost(op, Metric.INSTRUCTIONS),
+                _compile_cost(op, Metric.MEMORY_ACCESSES),
+            )
+            for op in self._ops_by_method.values()
+        }
 
     # -- the operation table (overridden by subclasses) ------------------ #
     def ops(self) -> Sequence[OpSpec]:
@@ -205,9 +231,6 @@ class Structure(ExternHandler):
 
     def pcv_name(self, symbol: str) -> str:
         """Return the instance-qualified name of a local PCV symbol."""
-        cached = self._qualified.get(symbol)
-        if cached is not None:
-            return cached
         return qualify_name(self.name, symbol)
 
     def qualify_spec(self, op: OpSpec) -> OpSpec:
@@ -293,12 +316,15 @@ class Structure(ExternHandler):
         word — a realistic stand-in for the bookkeeping accesses the cost
         formula charges but the handler does not enumerate).
         """
-        op = self.op(method)
-        bindings = {name: pcvs.get(name, 0) for name in op.pcvs}
-        instructions = op.cost[Metric.INSTRUCTIONS].evaluate_int(bindings)
+        try:
+            symbols, qualified, instructions_of, accesses_of = self._charging[method]
+        except KeyError:
+            raise KeyError(f"{self.name}: unknown operation {method!r}") from None
+        bindings = {name: pcvs.get(name, 0) for name in symbols}
+        instructions = instructions_of(bindings)
         if discount_instructions < 0 or discount_instructions >= instructions:
             raise ValueError(f"bad instruction discount {discount_instructions}")
-        memory_accesses = op.cost[Metric.MEMORY_ACCESSES].evaluate_int(bindings)
+        memory_accesses = accesses_of(bindings)
         accesses = tuple(touched[:memory_accesses])
         if len(accesses) < memory_accesses:
             accesses += (self.heap_base,) * (memory_accesses - len(accesses))
@@ -306,7 +332,7 @@ class Structure(ExternHandler):
             value,
             instructions=instructions - discount_instructions,
             memory_accesses=memory_accesses,
-            pcvs={self.pcv_name(name): observed for name, observed in bindings.items()},
+            pcvs=dict(zip(qualified, bindings.values())),
             accesses=accesses,
         )
 

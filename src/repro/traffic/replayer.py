@@ -24,8 +24,9 @@ compile_conjunction`), contract polynomials and cycle pricing compile to
 scaled-integer evaluators (:meth:`repro.core.perfexpr.PerfExpr.
 compile_scaled`, :meth:`repro.hw.model.CycleModel.compile_measure`) — so
 the per-packet work is one interpreter run plus straight-line integer
-arithmetic.  Cycle values convert back to :class:`~fractions.Fraction`
-only when an outcome is recorded.
+arithmetic.  Outcomes and class summaries keep cycles as scaled integers;
+their ``cycles`` / ``max_cycles`` properties build exact
+:class:`~fractions.Fraction` values only when a report reads them.
 """
 
 from __future__ import annotations
@@ -85,6 +86,16 @@ class NFTarget(Protocol):
         ...
 
 
+def _unscaled(
+    scaled: Mapping[str, Tuple[int, int]], scale: int
+) -> Dict[str, Tuple[Fraction, Fraction]]:
+    """Turn scaled-integer (measured, predicted) cycle pairs into Fractions."""
+    return {
+        model: (Fraction(measured, scale), Fraction(predicted, scale))
+        for model, (measured, predicted) in scaled.items()
+    }
+
+
 @dataclass(frozen=True)
 class PacketOutcome:
     """Measured-vs-predicted record of one replayed stimulus."""
@@ -95,16 +106,21 @@ class PacketOutcome:
     pcvs: Mapping[str, int]
     measured: Mapping[Metric, int]
     predicted: Mapping[Metric, int]
-    #: model name -> (measured cycles, predicted cycles)
-    cycles: Mapping[str, Tuple[Fraction, Fraction]]
     violations: Tuple[str, ...]
     #: model name -> (measured, predicted) in scaled-integer cycles — the
     #: exact per-packet samples the tail percentiles aggregate over.
     cycles_scaled: Mapping[str, Tuple[int, int]] = field(default_factory=dict)
+    #: The denominator of every ``cycles_scaled`` value.
+    cycle_scale: int = 1
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @property
+    def cycles(self) -> Dict[str, Tuple[Fraction, Fraction]]:
+        """model name -> (measured cycles, predicted cycles), exact."""
+        return _unscaled(self.cycles_scaled, self.cycle_scale)
 
 
 @dataclass
@@ -112,10 +128,13 @@ class ClassSummary:
     """Aggregate over every packet that fell into one input class."""
 
     class_name: str
+    #: The denominator of every scaled cycle value below.
+    cycle_scale: int = 1
     packets: int = 0
     max_measured: Dict[Metric, int] = field(default_factory=dict)
     max_predicted: Dict[Metric, int] = field(default_factory=dict)
-    max_cycles: Dict[str, Tuple[Fraction, Fraction]] = field(default_factory=dict)
+    #: model name -> (max measured, max predicted) per-packet cycles (scaled).
+    max_cycles_scaled: Dict[str, Tuple[int, int]] = field(default_factory=dict)
     violations: int = 0
     #: model name -> measured per-packet cycle samples (scaled integers).
     cycle_samples: Dict[str, List[int]] = field(default_factory=dict)
@@ -135,12 +154,16 @@ class ClassSummary:
             self.max_measured[metric] = max(self.max_measured.get(metric, 0), value)
         for metric, value in outcome.predicted.items():
             self.max_predicted[metric] = max(self.max_predicted.get(metric, 0), value)
-        for model, (measured, predicted) in outcome.cycles.items():
-            prev = self.max_cycles.get(model, (Fraction(0), Fraction(0)))
-            self.max_cycles[model] = (max(prev[0], measured), max(prev[1], predicted))
         for model, (measured, predicted) in outcome.cycles_scaled.items():
+            prev = self.max_cycles_scaled.get(model, (0, 0))
+            self.max_cycles_scaled[model] = (max(prev[0], measured), max(prev[1], predicted))
             self.cycle_samples.setdefault(model, []).append(measured)
             self.predicted_samples.setdefault(model, []).append(predicted)
+
+    @property
+    def max_cycles(self) -> Dict[str, Tuple[Fraction, Fraction]]:
+        """model name -> (max measured, max predicted) cycles, exact."""
+        return _unscaled(self.max_cycles_scaled, self.cycle_scale)
 
     def compute_tails(self) -> None:
         """Aggregate the per-packet samples into measured tails + envelopes.
@@ -324,21 +347,14 @@ class Replayer:
                     )
             else:
                 self._classify_program.append((entry.input_class.matches, entry))
-        # Count predictions: ceil(expr) per (entry, metric), each compiled
-        # at its own clearing scale so the ceil is exact.
-        self._count_programs: Dict[int, List[Tuple[Metric, Callable[..., int]]]] = {}
-        for entry in contract.entries:
-            programs: List[Tuple[Metric, Callable[..., int]]] = []
-            for metric in (Metric.INSTRUCTIONS, Metric.MEMORY_ACCESSES):
-                expr = entry.expr(metric)
-                denom = expr.denominator_lcm()
-                scaled = expr.compile_scaled(denom)
-
-                def ceil_eval(bindings, _f=scaled, _d=denom) -> int:
-                    return -(-_f(bindings) // _d)
-
-                programs.append((metric, ceil_eval))
-            self._count_programs[id(entry)] = programs
+        # Count predictions: ceil(expr) per (entry, metric), exact.
+        self._count_programs: Dict[int, List[Tuple[Metric, Callable[..., int]]]] = {
+            id(entry): [
+                (metric, entry.expr(metric).compile_ceil())
+                for metric in (Metric.INSTRUCTIONS, Metric.MEMORY_ACCESSES)
+            ]
+            for entry in contract.entries
+        }
         # Cycles: one global scale clears every model price and every
         # derived cycle coefficient, so measured/predicted stay exact
         # integers and compare without Fraction arithmetic.
@@ -386,7 +402,6 @@ class Replayer:
             Metric.MEMORY_ACCESSES: trace.total_memory_accesses(),
         }
         predicted: Dict[Metric, int] = {}
-        cycles: Dict[str, Tuple[Fraction, Fraction]] = {}
         cycles_scaled: Dict[str, Tuple[int, int]] = {}
         observed = trace.pcv_bindings()
         if entry is None:
@@ -407,10 +422,6 @@ class Replayer:
                 measured_scaled = measure(trace)
                 predicted_scaled = predictors[class_name](bindings)
                 cycles_scaled[model_name] = (measured_scaled, predicted_scaled)
-                cycles[model_name] = (
-                    Fraction(measured_scaled, cycle_scale),
-                    Fraction(predicted_scaled, cycle_scale),
-                )
                 if measured_scaled > predicted_scaled:
                     violations.append(
                         f"packet {index} ({class_name}): {model_name} measured "
@@ -424,9 +435,9 @@ class Replayer:
             pcvs=observed,
             measured=measured,
             predicted=predicted,
-            cycles=cycles,
             violations=tuple(violations),
             cycles_scaled=cycles_scaled,
+            cycle_scale=cycle_scale,
         )
 
     def replay(self, stimuli: Iterable[Stimulus], *, workload: str = "workload") -> ReplayResult:
@@ -442,7 +453,10 @@ class Replayer:
                     max_pcvs[name] = value
             outcomes.append(outcome)
             key = outcome.class_name if outcome.class_name is not None else "<unclassified>"
-            summaries.setdefault(key, ClassSummary(key)).absorb(outcome)
+            summary = summaries.get(key)
+            if summary is None:
+                summary = summaries[key] = ClassSummary(key, self._cycle_scale)
+            summary.absorb(outcome)
         for summary in summaries.values():
             summary.compute_tails()
         return ReplayResult(

@@ -2,12 +2,18 @@
 per-operation hand contracts (replayed against 100+ traced operations per
 structure), and the Bolt cross-validation harness."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from repro.core import Metric, PerfExpr
+from repro.hw import ConservativeModel, RealisticModel, SimulatedModel
+from repro.nf import bridge
+from repro.nf.bridge import generate_bridge_contract
 from repro.nfil import ExecutionTrace, ExternHandler, Interpreter
+from repro.registry import NF_MATRIX
 from repro.structures import (
     NOT_FOUND,
     ChainingHashMap,
@@ -23,6 +29,7 @@ from repro.structures import (
 )
 from repro.structures.lpm import MAX_DEPTH
 from repro.structures.validation import operation_module
+from repro.traffic import Replayer
 
 
 def traced_call(structure, method, *args, trace):
@@ -425,3 +432,89 @@ def test_operation_contract_lists_every_op():
     assert contract.class_names() == ["expire", "put", "get"]
     text = contract.render()
     assert "time-wheel" in text
+
+
+# --------------------------------------------------------------------------- #
+# Compiled charging
+# --------------------------------------------------------------------------- #
+PCV_GRID = (0, 1, 2, 7, 51)
+
+
+def test_compiled_charge_equals_evaluate_int_for_every_registered_op():
+    checked = 0
+    structures = [structure for spec in NF_MATRIX for structure in spec.harness().structures]
+    for structure in structures:
+        for op in structure.ops():
+            for values in itertools.product(PCV_GRID, repeat=len(op.pcvs)):
+                bindings = dict(zip(op.pcvs, values))
+                result = structure.charge(op.method, 5, **bindings)
+                instructions = op.cost[Metric.INSTRUCTIONS].evaluate_int(bindings)
+                memory_accesses = op.cost[Metric.MEMORY_ACCESSES].evaluate_int(bindings)
+                assert result.instructions == instructions, (structure.name, op.method)
+                assert result.memory_accesses == memory_accesses, (structure.name, op.method)
+                assert result.accesses == (structure.heap_base,) * memory_accesses
+                assert result.pcvs == {
+                    structure.pcv_name(name): value for name, value in bindings.items()
+                }
+                assert result.value == 5
+                checked += 1
+    assert checked > 100
+
+
+class _OneOp(Structure):
+    kind = "one_op"
+
+    def __init__(self, name, cost):
+        self._cost = cost
+        super().__init__(name)
+
+    def ops(self):
+        return (OpSpec("poke", 1, False, self._cost, ("t",)),)
+
+    def _op_poke(self, args, memory):
+        return self.charge("poke", t=args[0])
+
+
+def test_compiled_charge_rounds_fractional_costs_up():
+    cost = {
+        Metric.INSTRUCTIONS: PerfExpr.from_terms(t=Fraction(3, 2), const=1),
+        Metric.MEMORY_ACCESSES: PerfExpr.from_terms(t=Fraction(1, 3)),
+    }
+    structure = _OneOp("frac", cost)
+    expected = {0: (1, 0), 1: (3, 1), 2: (4, 1), 3: (6, 1), 4: (7, 2)}
+    for t, (instructions, memory_accesses) in expected.items():
+        result = structure.charge("poke", t=t)
+        assert (result.instructions, result.memory_accesses) == (instructions, memory_accesses)
+        for metric, value in zip(cost, (instructions, memory_accesses)):
+            assert cost[metric].evaluate_int({"t": t}) == value
+
+
+def test_op_without_a_metric_fails_only_when_charged():
+    cost = {Metric.INSTRUCTIONS: PerfExpr.from_terms(t=2, const=1)}
+    structure = _OneOp("partial", cost)
+    with pytest.raises(KeyError):
+        structure.charge("poke", t=1)
+
+
+def test_packet_outcome_cycles_are_the_scaled_integers_over_the_scale():
+    contract = generate_bridge_contract(16, 50)
+    workload = bridge.SPEC.workloads["uniform"](2019, 40)
+    models = (ConservativeModel(), RealisticModel(), SimulatedModel())
+    result = Replayer(workload.harness, contract, models=models).replay(workload.stimuli)
+    scale = result.cycle_scale
+    assert result.outcomes
+    for outcome in result.outcomes:
+        assert outcome.cycle_scale == scale
+        assert set(outcome.cycles) == {model.name for model in models}
+        for model, (measured, predicted) in outcome.cycles_scaled.items():
+            assert outcome.cycles[model] == (
+                Fraction(measured, scale),
+                Fraction(predicted, scale),
+            )
+    for name, summary in result.summaries.items():
+        members = [o for o in result.outcomes if o.class_name == name]
+        for model in summary.max_cycles:
+            assert summary.max_cycles[model] == (
+                max(o.cycles[model][0] for o in members),
+                max(o.cycles[model][1] for o in members),
+            )
