@@ -3,10 +3,17 @@
 The :class:`~repro.hw.model.RealisticModel` *assumes* a per-structure
 cache-hit rate (:data:`~repro.hw.model.DEFAULT_HIT_RATES`); this module
 removes the assumption.  A :class:`CacheHierarchy` (L1 + LLC, both
-:class:`SetAssociativeCache` instances with true-LRU replacement) consumes
-the tracer's per-packet :class:`~repro.nfil.tracer.MemAccess` stream, so
-every access is priced at the latency of the level that actually served
-it — hit rates are **observed per packet** instead of assumed per kind.
+:class:`SetAssociativeCache` instances with true-LRU replacement) walks
+the tracer's per-packet address stream (``ExecutionTrace.addrs``, plain
+ints), so every access is priced at the latency of the level that
+actually served it — hit rates are **observed per packet** instead of
+assumed per kind.
+
+Each level walks a whole stream in one call (:meth:`SetAssociativeCache.walk`)
+and returns the addresses it missed, in order; the hierarchy walks the
+LLC over exactly that subsequence.  This equals walking both levels one
+access at a time, because an L1 update never depends on LLC state and the
+LLC sees the same ordered misses either way.
 
 :class:`~repro.hw.model.SimulatedModel` owns one hierarchy per model
 instance and keeps it warm across the packets of a replay, which is what
@@ -23,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List
+from typing import Dict, List, Sequence, Tuple
 
 __all__ = [
     "DEFAULT_L1_GEOMETRY",
@@ -76,8 +83,8 @@ class SetAssociativeCache:
     """One set-associative cache level with true-LRU replacement.
 
     Each set is a list of line tags ordered LRU-first (index 0 is the
-    next victim); :meth:`access` returns whether the address hit and
-    updates the recency order either way.
+    next victim).  :meth:`walk` touches a whole address stream and
+    returns its misses; :meth:`access` is a one-address walk.
     """
 
     def __init__(self, geometry: CacheGeometry) -> None:
@@ -87,24 +94,41 @@ class SetAssociativeCache:
         self.hits = 0
         self.misses = 0
 
+    def walk(self, addrs: Sequence[int]) -> List[int]:
+        """Touch every address in order; return the missed ones, in order.
+
+        Hits move their line to the MRU end of its set; misses fill the
+        line, evicting the set's LRU line when the set is full.
+        """
+        shift = self._line_shift
+        set_count = self.geometry.sets
+        ways = self.geometry.ways
+        sets = self._sets
+        missed: List[int] = []
+        miss = missed.append
+        for addr in addrs:
+            tag = addr >> shift
+            lines = sets.get(tag % set_count)
+            if lines is None:
+                sets[tag % set_count] = [tag]
+                miss(addr)
+            elif lines[-1] == tag:
+                continue
+            elif tag in lines:
+                lines.remove(tag)
+                lines.append(tag)
+            else:
+                miss(addr)
+                if len(lines) >= ways:
+                    del lines[0]
+                lines.append(tag)
+        self.misses += len(missed)
+        self.hits += len(addrs) - len(missed)
+        return missed
+
     def access(self, addr: int) -> bool:
         """Touch ``addr``; return True on hit.  Misses fill the line."""
-        tag = addr >> self._line_shift
-        index = tag % self.geometry.sets
-        lines = self._sets.get(index)
-        if lines is None:
-            lines = []
-            self._sets[index] = lines
-        if tag in lines:
-            lines.remove(tag)
-            lines.append(tag)
-            self.hits += 1
-            return True
-        self.misses += 1
-        if len(lines) >= self.geometry.ways:
-            lines.pop(0)
-        lines.append(tag)
-        return False
+        return not self.walk((addr,))
 
     @property
     def accesses(self) -> int:
@@ -139,17 +163,20 @@ class CacheHierarchy:
         self.l1 = SetAssociativeCache(l1)
         self.llc = SetAssociativeCache(llc)
 
+    def walk(self, addrs: Sequence[int]) -> Tuple[int, int, int]:
+        """Simulate a stream; return ``(l1_hits, llc_hits, dram)`` counts."""
+        l1_missed = self.l1.walk(addrs)
+        dram = len(self.llc.walk(l1_missed)) if l1_missed else 0
+        return len(addrs) - len(l1_missed), len(l1_missed) - dram, dram
+
     def access(self, addr: int) -> str:
         """Simulate one access; return the serving level.
 
         ``"l1"`` — L1 hit; ``"llc"`` — L1 miss served by the LLC;
         ``"dram"`` — missed both levels.
         """
-        if self.l1.access(addr):
-            return "l1"
-        if self.llc.access(addr):
-            return "llc"
-        return "dram"
+        l1, llc, _ = self.walk((addr,))
+        return "l1" if l1 else "llc" if llc else "dram"
 
     def reset(self) -> None:
         """Cold-start both levels."""

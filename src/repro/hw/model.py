@@ -152,7 +152,7 @@ class CycleModel:
     name: str = "cycle_model"
 
     #: True when :meth:`measure` needs the tracer's per-access address
-    #: stream (``ExecutionTrace.accesses``), not just the counts.  The
+    #: stream (``ExecutionTrace.addrs``), not just the counts.  The
     #: replayer enables address recording iff any active model sets this.
     requires_access_stream: bool = False
 
@@ -173,35 +173,35 @@ class CycleModel:
         raise NotImplementedError
 
     # -- prediction side ------------------------------------------------- #
-    def _monomial_access_cycles(
-        self, monomial: Monomial, structures: Sequence[Structure]
-    ) -> Fraction:
-        """Price one memory-expression monomial.
-
-        The constant term may mix stateless accesses with the constant
-        base cost of any structure call, so it is priced at the maximum
-        over all candidate producers.  A PCV monomial is produced by the
-        structure(s) owning the PCV; a PCV owned by no known structure is
-        priced at the unknown-producer worst case.
-        """
-        if not monomial:
-            prices = [self.stateless_access_cycles()]
-            prices.extend(self.structure_access_cycles(s) for s in structures)
-            return max(prices)
-        owners = [s for s in structures if any(name in s.registry() for name in monomial)]
-        if not owners:
-            return self.structure_access_cycles(None)
-        return max(self.structure_access_cycles(s) for s in owners)
-
     def cycles_expr(
         self, entry: ContractEntry, *, structures: Sequence[Structure] = ()
     ) -> PerfExpr:
-        """Derive one entry's cycle expression over its PCVs."""
-        expr = entry.expr(Metric.INSTRUCTIONS).scaled(self.instruction_cycles())
-        for monomial, coeff in entry.expr(Metric.MEMORY_ACCESSES).terms.items():
-            price = self._monomial_access_cycles(monomial, structures)
-            expr += PerfExpr({monomial: coeff * price})
-        return expr
+        """Derive one entry's cycle expression over its PCVs.
+
+        Instructions pay :meth:`instruction_cycles`.  A memory monomial is
+        priced at the worst latency of any party that could produce it:
+        the constant term at the maximum over the stateless price and
+        every structure's price (it may mix stateless accesses with the
+        constant base cost of any structure call), a PCV monomial at the
+        maximum over the structures owning one of its PCVs, and a PCV
+        owned by no known structure at the unknown-producer worst case.
+        """
+        per_instruction = self.instruction_cycles()
+        terms: Dict[Monomial, Fraction] = {
+            monomial: coeff * per_instruction
+            for monomial, coeff in entry.expr(Metric.INSTRUCTIONS).terms.items()
+        }
+        memory = entry.expr(Metric.MEMORY_ACCESSES).terms
+        registries = [(structure, structure.registry()) for structure in structures]
+        for monomial, coeff in memory.items():
+            if not monomial:
+                prices = [self.stateless_access_cycles()]
+                prices.extend(self.structure_access_cycles(s) for s in structures)
+            else:
+                owners = [s for s, registry in registries if any(n in registry for n in monomial)]
+                prices = [self.structure_access_cycles(s) for s in owners or (None,)]
+            terms[monomial] = terms.get(monomial, 0) + coeff * max(prices)
+        return PerfExpr(terms)
 
     def predict(
         self,
@@ -297,6 +297,16 @@ class CycleModel:
             value = math.lcm(value, self.structure_access_cycles(structure).denominator)
         return value
 
+    def _scaled(self, value: Fraction, scale: int, structures: Sequence[Structure]) -> int:
+        """``value * scale`` as an exact int; ``ValueError`` if it is not one."""
+        scaled = value * scale
+        if scaled.denominator != 1:
+            raise ValueError(
+                f"scale {scale} does not clear price {value} (need a "
+                f"multiple of {self.price_denominator(structures)})"
+            )
+        return scaled.numerator
+
     def compile_measure(
         self, structures: Sequence[Structure] = (), *, scale: int = 1
     ) -> Callable[[ExecutionTrace], int]:
@@ -309,22 +319,12 @@ class CycleModel:
         must be a multiple of :meth:`price_denominator` (``ValueError``
         otherwise).
         """
-
-        def price(value: Fraction) -> int:
-            scaled = value * scale
-            if scaled.denominator != 1:
-                raise ValueError(
-                    f"scale {scale} does not clear price {value} (need a "
-                    f"multiple of {self.price_denominator(structures)})"
-                )
-            return scaled.numerator
-
-        instruction = price(self.instruction_cycles())
-        stateless = price(self.stateless_access_cycles())
-        unknown = price(self.structure_access_cycles(None))
+        instruction = self._scaled(self.instruction_cycles(), scale, structures)
+        stateless = self._scaled(self.stateless_access_cycles(), scale, structures)
+        unknown = self._scaled(self.structure_access_cycles(None), scale, structures)
         owners = self.call_owners(structures)
         by_extern = {
-            name: price(self.structure_access_cycles(structure))
+            name: self._scaled(self.structure_access_cycles(structure), scale, structures)
             for name, structure in owners.items()
         }
 
@@ -430,12 +430,14 @@ class RealisticModel(CycleModel):
 class SimulatedModel(CycleModel):
     """Cache-simulator pricing: hit rates observed, never assumed.
 
-    The measurement side replays the trace's recorded address stream
-    through a set-associative L1/LLC :class:`~repro.hw.cachesim.CacheHierarchy`
-    and prices each access at the latency of the level that served it
-    (l1 / llc / dram).  The hierarchy is **stateful across packets** —
-    that warm/cold history is precisely what turns a replay into a
-    per-packet latency *distribution* rather than one blended number.
+    The measurement side walks the trace's recorded integer address
+    stream (``ExecutionTrace.addrs``) through a set-associative L1/LLC
+    :class:`~repro.hw.cachesim.CacheHierarchy` in one batched walk per
+    packet, and prices each access at the latency of the level that
+    served it (l1 / llc / dram).  The hierarchy is **stateful across
+    packets** — that warm/cold history is precisely what turns a replay
+    into a per-packet latency *distribution* rather than one blended
+    number.
 
     The prediction side prices every memory access at DRAM and
     instructions at ``1/issue_width``: since every simulated access costs
@@ -482,13 +484,6 @@ class SimulatedModel(CycleModel):
     def structure_access_cycles(self, structure: Optional[Structure]) -> Fraction:
         return Fraction(self.spec.dram_latency)
 
-    def _level_prices(self) -> Dict[str, Fraction]:
-        return {
-            "l1": Fraction(self.spec.l1_latency),
-            "llc": Fraction(self.spec.llc_latency),
-            "dram": Fraction(self.spec.dram_latency),
-        }
-
     def measure(
         self, trace: ExecutionTrace, *, structures: Sequence[Structure] = ()
     ) -> Fraction:
@@ -496,51 +491,43 @@ class SimulatedModel(CycleModel):
 
         Mutates the hierarchy: replaying the same trace twice gives the
         second run the first run's warm caches.  Call :meth:`reset` for
-        a cold machine.
+        a cold machine.  The exact value of :meth:`compile_measure`.
         """
-        prices = self._level_prices()
-        access = self.hierarchy.access
-        cycles = Fraction(trace.total_instructions()) * self.instruction_cycles()
-        for mem in trace.accesses:
-            cycles += prices[access(mem.addr)]
-        counted = trace.memory_accesses + sum(
-            call.memory_accesses for call in trace.extern_calls
-        )
-        shortfall = counted - len(trace.accesses)
-        if shortfall > 0:
-            cycles += Fraction(shortfall * self.spec.dram_latency)
-        return cycles
+        scale = self.price_denominator(structures)
+        return Fraction(self.compile_measure(structures, scale=scale)(trace), scale)
 
     def compile_measure(
         self, structures: Sequence[Structure] = (), *, scale: int = 1
     ) -> Callable[[ExecutionTrace], int]:
-        """Integer-arithmetic :meth:`measure` (same statefulness caveat)."""
+        """Integer-arithmetic :meth:`measure` (same statefulness caveat).
 
-        def price(value: Fraction) -> int:
-            scaled = value * scale
-            if scaled.denominator != 1:
-                raise ValueError(
-                    f"scale {scale} does not clear price {value} (need a "
-                    f"multiple of {self.price_denominator(structures)})"
-                )
-            return scaled.numerator
+        One :meth:`~repro.hw.cachesim.CacheHierarchy.walk` over the
+        trace's ``addrs`` counts the accesses each level served, and each
+        count pays its level's latency.  Accesses counted but not recorded
+        pay DRAM.
+        """
+        instruction = self._scaled(self.instruction_cycles(), scale, structures)
+        l1, llc, dram = (
+            self._scaled(Fraction(latency), scale, structures)
+            for latency in (self.spec.l1_latency, self.spec.llc_latency, self.spec.dram_latency)
+        )
+        walk = self.hierarchy.walk
 
-        instruction = price(self.instruction_cycles())
-        levels = {name: price(value) for name, value in self._level_prices().items()}
-        dram = levels["dram"]
-        hierarchy_access = self.hierarchy.access
-
-        def measure(trace: ExecutionTrace, _levels=levels) -> int:
-            cycles = trace.total_instructions() * instruction
-            counted = trace.memory_accesses
-            for mem in trace.accesses:
-                cycles += _levels[hierarchy_access(mem.addr)]
+        def measure(trace: ExecutionTrace) -> int:
+            addrs = trace.addrs
+            l1_hits, llc_hits, dram_misses = walk(addrs)
+            instructions = trace.instructions
+            counted = trace.mem_reads + trace.mem_writes
             for call in trace.extern_calls:
+                instructions += call.instructions
                 counted += call.memory_accesses
-            shortfall = counted - len(trace.accesses)
-            if shortfall > 0:
-                cycles += shortfall * dram
-            return cycles
+            shortfall = max(counted - len(addrs), 0)
+            return (
+                instructions * instruction
+                + l1_hits * l1
+                + llc_hits * llc
+                + (dram_misses + shortfall) * dram
+            )
 
         return measure
 

@@ -206,7 +206,7 @@ class NFHarness:
         #: only populated when ``capture_output`` is on.
         self.last_packet: bytes = b""
         #: Whether :meth:`run` materialises the per-access address stream
-        #: (``ExecutionTrace.accesses``).  Off by default — counts are all
+        #: (``ExecutionTrace.addrs``).  Off by default — counts are all
         #: plain replay needs — and switched on by the replayer when a
         #: cache-simulating hardware model is in the model set.
         self.record_accesses: bool = False

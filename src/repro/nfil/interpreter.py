@@ -17,7 +17,8 @@ is translated once into one generated Python function (a *segment*; a block
 splits after every internal call) whose body is the block's instructions as
 straight-line integer code over local variables.  A segment adds its
 instruction, load and store counts to the trace in bulk, records each
-access and extern call in execution order, and returns where control goes
+access (its address and a constant ``(size, kind, function)`` site) and
+extern call in execution order, and returns where control goes
 next.  Segments are compiled once per distinct generated source and shared
 by every interpreter.
 
@@ -51,7 +52,7 @@ from repro.nfil.instructions import (
     WORD_MASK,
 )
 from repro.nfil.program import Function, Module
-from repro.nfil.tracer import ExecutionTrace, MemAccess
+from repro.nfil.tracer import ExecutionTrace
 
 __all__ = [
     "ExternHandler",
@@ -243,7 +244,6 @@ SegmentKey = Union[str, Tuple[str, int]]
 
 _SEGMENT_GLOBALS: Dict[str, object] = {
     "InterpreterError": InterpreterError,
-    "MemAccess": MemAccess,
     "_Call": _Call,
     "_Return": _Return,
 }
@@ -364,7 +364,11 @@ class _SegmentWriter:
             self.emit(1, f"t.mem_writes += {stores}")
         if loads or stores:
             self.emit(1, "b = m._bytes")
-            self.emit(1, "acc = t.accesses.append if t.record_accesses else None")
+            self.emit(1, "if t.record_accesses:")
+            self.emit(2, "acc = t.addrs.append")
+            self.emit(2, "site = t.sites.append")
+            self.emit(1, "else:")
+            self.emit(2, "acc = None")
         for index, instruction in enumerate(instructions):
             self.instruction(instruction, self.start + index)
         if not self.exits:
@@ -426,7 +430,8 @@ class _SegmentWriter:
 
     def record(self, addr: str, size: int, kind: str) -> None:
         self.emit(1, "if acc is not None:")
-        self.emit(2, f"acc(MemAccess({addr}, {size}, {kind!r}, {self.function!r}))")
+        self.emit(2, f"acc({addr})")
+        self.emit(2, f"site({(size, kind, self.function)!r})")
 
     def call(self, instruction: Call, index: int) -> None:
         args = [self.read(arg) for arg in instruction.args]

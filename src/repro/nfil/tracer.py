@@ -23,10 +23,14 @@ are what performance contracts must upper-bound.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-__all__ = ["ExecutionTrace", "ExternCall", "MemAccess"]
+__all__ = ["AccessView", "ExecutionTrace", "ExternCall", "MemAccess"]
+
+#: The constant part of one recorded access: ``(size, kind, function)``.
+Site = Tuple[int, str, str]
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,22 +73,72 @@ class ExternCall:
     pcvs: Mapping[str, int] = field(default_factory=dict)
 
 
+class AccessView(Sequence):
+    """Read-only :class:`MemAccess` view of a trace's recorded stream.
+
+    ``len()`` builds nothing; iteration and indexing build each
+    :class:`MemAccess` on demand from the parallel address and site
+    lists.  A view compares equal to a list of the same accesses.
+    """
+
+    __slots__ = ("_addrs", "_sites")
+
+    def __init__(self, addrs: List[int], sites: List[Site]) -> None:
+        self._addrs = addrs
+        self._sites = sites
+
+    def __len__(self) -> int:
+        return len(self._addrs)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            pairs = zip(self._addrs[index], self._sites[index])
+            return [MemAccess(addr, *site) for addr, site in pairs]
+        return MemAccess(self._addrs[index], *self._sites[index])
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, AccessView):
+            return self._addrs == other._addrs and self._sites == other._sites
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 class ExecutionTrace:
-    """Dynamic instruction/memory counts for one concrete execution."""
+    """Dynamic instruction/memory counts for one concrete execution.
+
+    When address recording is on, the access stream is kept as two
+    parallel lists: :attr:`addrs` (plain ints, what the cache simulator
+    walks) and :attr:`sites` (one constant ``(size, kind, function)``
+    tuple per access).  :attr:`accesses` presents them as
+    :class:`MemAccess` objects.
+    """
 
     def __init__(self, *, record_accesses: bool = True) -> None:
         self.instructions: int = 0
         self.mem_reads: int = 0
         self.mem_writes: int = 0
-        self.accesses: List[MemAccess] = []
+        self.addrs: List[int] = []
+        self.sites: List[Site] = []
         self.extern_calls: List[ExternCall] = []
-        #: Whether :attr:`accesses` lists each access; counts are always kept.
+        #: Whether :attr:`addrs`/:attr:`sites` list each access; counts are
+        #: always kept.
         self.record_accesses = record_accesses
+        self._view = AccessView(self.addrs, self.sites)
+
+    @property
+    def accesses(self) -> AccessView:
+        """The recorded accesses, in execution order, as :class:`MemAccess`."""
+        return self._view
 
     # ------------------------------------------------------------------ #
     # Recording.  The interpreter's decoded blocks add their instruction,
     # load and store counts to the fields above in bulk, append to
-    # :attr:`accesses` in execution order, and call :meth:`record_extern`.
+    # :attr:`addrs` and :attr:`sites` in execution order, and call
+    # :meth:`record_extern`.
     # ------------------------------------------------------------------ #
     def record_instruction(self) -> None:
         """Count one executed stateless NFIL instruction."""
@@ -97,7 +151,8 @@ class ExecutionTrace:
         else:
             self.mem_reads += 1
         if self.record_accesses:
-            self.accesses.append(MemAccess(addr, size, kind, function))
+            self.addrs.append(addr)
+            self.sites.append((size, kind, function))
 
     def record_extern(
         self,
@@ -113,11 +168,12 @@ class ExecutionTrace:
         """Record one extern call and its instrumented cost.
 
         When address recording is on, the structure's touched addresses
-        (``accesses``) join :attr:`accesses` in execution order alongside
+        (``accesses``) join :attr:`addrs` in execution order alongside
         the stateless stream, so a cache simulator replays the packet's
-        full interleaved address trace.  Structure accesses are modelled
-        as 8-byte loads — line granularity is what the simulator keys on,
-        so load/store and operand width do not affect pricing.
+        full interleaved address trace.  Structure accesses are recorded
+        at the site ``(8, "load", name)`` — line granularity is what the
+        simulator keys on, so load/store and operand width do not affect
+        pricing.
         """
         call = ExternCall(
             index=len(self.extern_calls),
@@ -129,9 +185,9 @@ class ExecutionTrace:
             pcvs=dict(pcvs or {}),
         )
         self.extern_calls.append(call)
-        if self.record_accesses:
-            for addr in accesses:
-                self.accesses.append(MemAccess(addr, 8, "load", name))
+        if accesses and self.record_accesses:
+            self.addrs.extend(accesses)
+            self.sites.extend([(8, "load", name)] * len(accesses))
         return call
 
     # ------------------------------------------------------------------ #

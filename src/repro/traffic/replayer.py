@@ -329,9 +329,10 @@ class Replayer:
             }
             for model in self.models
         }
+        bounds = contract.registry.default_bounds()
         self._envelopes: Dict[str, Fraction] = {
-            model.name: model.envelope(contract, structures=structures)
-            for model in self.models
+            name: max([Fraction(0)] + [expr.upper_bound(bounds) for expr in exprs.values()])
+            for name, exprs in self._cycle_exprs.items()
         }
         # ---- batched-replay programs (built once, run per packet) ---- #
         # Classification: the flattened (compiled predicate, entry) list

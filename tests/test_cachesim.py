@@ -13,6 +13,8 @@ from fractions import Fraction
 import pytest
 
 from repro.hw import (
+    DEFAULT_L1_GEOMETRY,
+    DEFAULT_LLC_GEOMETRY,
     CacheGeometry,
     CacheHierarchy,
     HwSpec,
@@ -21,6 +23,7 @@ from repro.hw import (
     SimulatedModel,
     geometry_to_json,
 )
+from repro.nf import nat
 from repro.nfil.tracer import ExecutionTrace
 from repro.structures import LpmTrie
 
@@ -240,3 +243,121 @@ def test_realistic_model_rejects_undeclared_structure_kinds():
     assert by_kind.hit_rate(structure) == Fraction(1, 2)
     by_name = RealisticModel(hit_rates={"novel": Fraction(1, 4)})
     assert by_name.hit_rate(structure) == Fraction(1, 4)
+
+
+# --------------------------------------------------------------------------- #
+# Batched walks against a one-access-at-a-time reference
+# --------------------------------------------------------------------------- #
+class _ReferenceCache:
+    """True LRU, one access at a time: the per-access walk, written out."""
+
+    def __init__(self, geometry):
+        self.geometry = geometry
+        self.sets = {}
+        self.hits = 0
+        self.misses = 0
+
+    def access(self, addr):
+        tag = addr // self.geometry.line_size
+        lines = self.sets.setdefault(tag % self.geometry.sets, [])
+        if tag in lines:
+            lines.remove(tag)
+            lines.append(tag)
+            self.hits += 1
+            return True
+        self.misses += 1
+        if len(lines) >= self.geometry.ways:
+            lines.pop(0)
+        lines.append(tag)
+        return False
+
+
+def _reference_walk(l1, llc, addrs):
+    """Check L1, then the LLC, per access; return (l1, llc, dram) counts."""
+    counts = [0, 0, 0]
+    for addr in addrs:
+        counts[0 if l1.access(addr) else 1 if llc.access(addr) else 2] += 1
+    return tuple(counts)
+
+
+def _resident(cache):
+    """The lines each set holds, LRU first."""
+    return {index: list(lines) for index, lines in cache._sets.items()}
+
+
+#: (L1, LLC) shapes: one set, one way, and set counts that are not powers of two.
+WALK_GEOMETRIES = (
+    (CacheGeometry(sets=1, ways=4), CacheGeometry(sets=1, ways=8)),
+    (CacheGeometry(sets=8, ways=1), CacheGeometry(sets=16, ways=1)),
+    (CacheGeometry(sets=6, ways=3, line_size=32), CacheGeometry(sets=10, ways=5, line_size=32)),
+    (DEFAULT_L1_GEOMETRY, DEFAULT_LLC_GEOMETRY),
+)
+WALK_IDS = ("one_set", "one_way", "sets_not_pow2", "default")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("l1, llc", WALK_GEOMETRIES, ids=WALK_IDS)
+def test_hierarchy_walk_matches_per_access_reference(seed, l1, llc):
+    """Walking packet-sized chunks in one call per level serves every access
+    from the same level as the per-access walk, and leaves the same lines."""
+    rng = random.Random(seed)
+    hot = [rng.randrange(1 << 12) for _ in range(12)]
+    hierarchy = CacheHierarchy(l1, llc)
+    ref_l1, ref_llc = _ReferenceCache(l1), _ReferenceCache(llc)
+    totals = [0, 0, 0]
+    for _ in range(60):
+        chunk = [
+            rng.choice(hot) if rng.random() < 0.6 else rng.randrange(1 << 14)
+            for _ in range(rng.randrange(0, 40))
+        ]
+        counts = hierarchy.walk(chunk)
+        assert counts == _reference_walk(ref_l1, ref_llc, chunk)
+        assert sum(counts) == len(chunk)
+        totals = [t + c for t, c in zip(totals, counts)]
+    assert all(totals)  # the streams reached every level
+    for cache, reference in ((hierarchy.l1, ref_l1), (hierarchy.llc, ref_llc)):
+        assert (cache.hits, cache.misses) == (reference.hits, reference.misses)
+        assert _resident(cache) == reference.sets
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("l1, llc", WALK_GEOMETRIES, ids=WALK_IDS)
+def test_cache_access_is_a_one_element_walk(seed, l1, llc):
+    rng = random.Random(seed)
+    single, batched = SetAssociativeCache(l1), SetAssociativeCache(l1)
+    for _ in range(400):
+        addr = rng.randrange(1 << 11)
+        assert single.access(addr) == (batched.walk([addr]) == [])
+    assert (single.hits, single.misses) == (batched.hits, batched.misses)
+    assert _resident(single) == _resident(batched)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_simulated_measure_equals_compiled_measure_over_a_nat_replay(seed):
+    """Fraction and integer pricing agree packet by packet on a real
+    interleaved address stream, each model keeping its caches warm across
+    packets, and both match pricing each access through the reference."""
+    workload = nat.SPEC.workloads["uniform"](seed, 40)
+    harness = workload.harness
+    harness.record_accesses = True
+    structures = harness.structures
+    fraction_model, int_model = SimulatedModel(), SimulatedModel()
+    spec = fraction_model.spec
+    scale = 3 * int_model.price_denominator(structures)
+    compiled = int_model.compile_measure(structures, scale=scale)
+    ref_l1 = _ReferenceCache(fraction_model.hierarchy.l1.geometry)
+    ref_llc = _ReferenceCache(fraction_model.hierarchy.llc.geometry)
+    for stimulus in workload.stimuli:
+        _, trace = harness.run(stimulus)
+        assert len(trace.addrs) == trace.total_memory_accesses() > 0
+        measured = fraction_model.measure(trace, structures=structures)
+        assert measured * scale == compiled(trace)
+        l1_hits, llc_hits, dram = _reference_walk(ref_l1, ref_llc, trace.addrs)
+        assert measured == (
+            Fraction(trace.total_instructions(), spec.issue_width)
+            + l1_hits * spec.l1_latency
+            + llc_hits * spec.llc_latency
+            + dram * spec.dram_latency
+        )
+    assert fraction_model.hierarchy.l1.hits == int_model.hierarchy.l1.hits == ref_l1.hits > 0
+    assert fraction_model.hierarchy.llc.hits == int_model.hierarchy.llc.hits == ref_llc.hits

@@ -30,7 +30,7 @@ from repro.nfil.instructions import (
 )
 from repro.nfil.interpreter import ExternHandler, InterpreterError
 from repro.nfil.program import BasicBlock, Function, Param
-from repro.nfil.tracer import ExecutionTrace
+from repro.nfil.tracer import ExecutionTrace, MemAccess
 
 
 def _max_module():
@@ -527,6 +527,60 @@ def test_interpreter_conformance_of_memory_and_trace():
         (0x999, "load", "ext"),
         (0x40, "store", "f"),
     ]
+
+
+def _touching_module():
+    """Stateless load and store around two calls to a structure extern."""
+    body = [
+        Load("x", Reg("p"), 2),
+        Call(None, "ext", (Reg("x"),)),
+        Store(Reg("p"), Imm(7), 4),
+        Call(None, "ext", (Imm(1),)),
+        Load("y", Reg("p"), 8),
+        Ret(),
+    ]
+    module = _module(_fn("f", ("p",), {"entry": body}), externs=[("ext", 1, False)])
+
+    def ext(args, memory):
+        return ExternResult(None, memory_accesses=2, accesses=(0x900 + args[0], 0x980))
+
+    handler = ExternHandler()
+    handler.register("ext", ext)
+    return Interpreter(module, handler=handler)
+
+
+def test_trace_accesses_view_len_matches_the_recorded_count():
+    _, trace = _touching_module().run("f", [0x40])
+    recorded = trace.mem_reads + trace.mem_writes + trace.extern_memory_accesses()
+    assert len(trace.accesses) == len(trace.addrs) == len(trace.sites) == recorded == 7
+
+
+def test_trace_accesses_view_lists_memaccess_objects_in_execution_order():
+    _, trace = _touching_module().run("f", [0x40])
+    expected = [
+        MemAccess(0x40, 2, "load", "f"),
+        MemAccess(0x900, 8, "load", "ext"),
+        MemAccess(0x980, 8, "load", "ext"),
+        MemAccess(0x40, 4, "store", "f"),
+        MemAccess(0x901, 8, "load", "ext"),
+        MemAccess(0x980, 8, "load", "ext"),
+        MemAccess(0x40, 8, "load", "f"),
+    ]
+    assert trace.accesses == expected
+    assert list(trace.accesses) == expected
+    assert trace.accesses[3] == expected[3] and trace.accesses[-1] == expected[-1]
+    assert trace.accesses[1:3] == expected[1:3]
+    assert trace.addrs == [access.addr for access in expected]
+    assert trace.accesses != expected[:-1]
+
+
+def test_trace_without_recording_keeps_counts_and_empty_stream():
+    trace = ExecutionTrace(record_accesses=False)
+    _touching_module().run("f", [0x40], trace=trace)
+    assert trace.addrs == [] and trace.sites == [] and trace.accesses == []
+    assert (trace.mem_reads, trace.mem_writes) == (2, 1)
+    assert trace.extern_memory_accesses() == 4
+    assert trace.total_memory_accesses() == 7
 
 
 def test_interpreter_runs_a_replaced_function_not_its_cached_decoding():
