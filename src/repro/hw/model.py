@@ -267,20 +267,13 @@ class CycleModel:
     def measure(
         self, trace: ExecutionTrace, *, structures: Sequence[Structure] = ()
     ) -> Fraction:
-        """Price one traced concrete execution under this model.
+        """Price one traced concrete execution under this model, exactly.
 
-        Every dynamic instruction (stateless and extern) pays
-        :meth:`instruction_cycles`; stateless accesses pay the stateless
-        price; each extern call's accesses pay its owning structure's
-        price (worst-case price when the owner is unknown).
+        The exact value of :meth:`compile_measure`, run at the smallest
+        scale that clears every price.
         """
-        owners = self.call_owners(structures)
-        cycles = Fraction(trace.total_instructions()) * self.instruction_cycles()
-        cycles += Fraction(trace.memory_accesses) * self.stateless_access_cycles()
-        for call in trace.extern_calls:
-            owner = owners.get(call.name)
-            cycles += Fraction(call.memory_accesses) * self.structure_access_cycles(owner)
-        return cycles
+        scale = self.price_denominator(structures)
+        return Fraction(self.compile_measure(structures, scale=scale)(trace), scale)
 
     def price_denominator(self, structures: Sequence[Structure] = ()) -> int:
         """LCM of the denominators of every per-unit price this model uses.
@@ -310,7 +303,12 @@ class CycleModel:
     def compile_measure(
         self, structures: Sequence[Structure] = (), *, scale: int = 1
     ) -> Callable[[ExecutionTrace], int]:
-        """Compile :meth:`measure` into ``f(trace) -> cycles * scale`` (int).
+        """Compile the pricing into ``f(trace) -> cycles * scale`` (int).
+
+        Every dynamic instruction (stateless and extern) pays
+        :meth:`instruction_cycles`; stateless accesses pay the stateless
+        price; each extern call's accesses pay its owning structure's
+        price (worst-case price when the owner is unknown).
 
         Per-unit prices are resolved and scaled to exact integers once;
         the returned closure prices a trace with plain integer arithmetic,
@@ -484,27 +482,17 @@ class SimulatedModel(CycleModel):
     def structure_access_cycles(self, structure: Optional[Structure]) -> Fraction:
         return Fraction(self.spec.dram_latency)
 
-    def measure(
-        self, trace: ExecutionTrace, *, structures: Sequence[Structure] = ()
-    ) -> Fraction:
-        """Price one traced execution by simulating its address stream.
-
-        Mutates the hierarchy: replaying the same trace twice gives the
-        second run the first run's warm caches.  Call :meth:`reset` for
-        a cold machine.  The exact value of :meth:`compile_measure`.
-        """
-        scale = self.price_denominator(structures)
-        return Fraction(self.compile_measure(structures, scale=scale)(trace), scale)
-
     def compile_measure(
         self, structures: Sequence[Structure] = (), *, scale: int = 1
     ) -> Callable[[ExecutionTrace], int]:
-        """Integer-arithmetic :meth:`measure` (same statefulness caveat).
+        """Price a trace by simulating its address stream.
 
         One :meth:`~repro.hw.cachesim.CacheHierarchy.walk` over the
         trace's ``addrs`` counts the accesses each level served, and each
         count pays its level's latency.  Accesses counted but not recorded
-        pay DRAM.
+        pay DRAM.  Pricing mutates the hierarchy (so does :meth:`measure`):
+        replaying the same trace twice gives the second run the first
+        run's warm caches.  Call :meth:`reset` for a cold machine.
         """
         instruction = self._scaled(self.instruction_cycles(), scale, structures)
         l1, llc, dram = (
@@ -516,14 +504,9 @@ class SimulatedModel(CycleModel):
         def measure(trace: ExecutionTrace) -> int:
             addrs = trace.addrs
             l1_hits, llc_hits, dram_misses = walk(addrs)
-            instructions = trace.instructions
-            counted = trace.mem_reads + trace.mem_writes
-            for call in trace.extern_calls:
-                instructions += call.instructions
-                counted += call.memory_accesses
-            shortfall = max(counted - len(addrs), 0)
+            shortfall = max(trace.total_memory_accesses() - len(addrs), 0)
             return (
-                instructions * instruction
+                trace.total_instructions() * instruction
                 + l1_hits * l1
                 + llc_hits * llc
                 + (dram_misses + shortfall) * dram

@@ -40,7 +40,7 @@ from repro.core.report import format_table
 from repro.hw.model import CycleModel
 from repro.net.churn import ChurnSchedule
 from repro.net.graph import Graph
-from repro.traffic.replayer import ClassSummary, PacketOutcome, Replayer
+from repro.traffic.replayer import COUNT_METRICS, ClassSummary, PacketOutcome, Replayer
 
 __all__ = ["GraphFrame", "GraphPacketOutcome", "GraphReplayResult", "GraphReplayer", "RouteSummary"]
 
@@ -366,18 +366,17 @@ class GraphReplayer:
                 packet = node.harness.last_packet
                 node_name = self.graph.next_hop(node_name, outcome.class_name)
 
-            measured: Dict[Metric, int] = {
-                Metric.INSTRUCTIONS: 0,
-                Metric.MEMORY_ACCESSES: 0,
-            }
+            instructions = accesses = 0
             cycle_sums: Dict[str, Fraction] = {model.name: Fraction(0) for model in self.models}
             bindings = dict(self._zero_pcvs)
             for _, hop_outcome in hops:
-                for metric in measured:
-                    measured[metric] += hop_outcome.measured.get(metric, 0)
+                hop_instructions, hop_accesses = hop_outcome.counts
+                instructions += hop_instructions
+                accesses += hop_accesses
                 for model_name, (meas, _) in hop_outcome.cycles.items():
                     cycle_sums[model_name] += meas
                 bindings.update(hop_outcome.pcvs)
+            measured: Dict[Metric, int] = dict(zip(COUNT_METRICS, (instructions, accesses)))
 
             route_name: Optional[str] = None
             predicted: Dict[Metric, Fraction] = {}

@@ -135,6 +135,18 @@ def _pkt_keys(count: int) -> List[str]:
     return _PKT_KEYS
 
 
+# The ``"{extern}#{index}"`` model-output names, interned the same way:
+# extern name -> the names of its calls at index 0, 1, ...
+_CALL_KEYS: Dict[str, List[str]] = {}
+
+
+def _call_key(name: str, index: int) -> str:
+    keys = _CALL_KEYS.setdefault(name, [])
+    while len(keys) <= index:
+        keys.append(f"{name}#{len(keys)}")
+    return keys[index]
+
+
 def replay_env(
     packet: bytes,
     sym_bytes: int,
@@ -154,9 +166,15 @@ def replay_env(
     """
     env: Dict[str, int] = dict(zip(_pkt_keys(sym_bytes), packet[:sym_bytes]))
     env.update(scalars)
+    call_keys = _CALL_KEYS
     for call in trace.extern_calls:
-        if call.result is not None:
-            env[f"{call.name}#{call.index}"] = call.result
+        result = call.result
+        if result is not None:
+            try:
+                key = call_keys[call.name][call.index]
+            except (KeyError, IndexError):
+                key = _call_key(call.name, call.index)
+            env[key] = result
     return env
 
 

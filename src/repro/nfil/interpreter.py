@@ -31,8 +31,8 @@ concretely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+import itertools
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.nfil.instructions import (
     BinOp,
@@ -52,7 +52,7 @@ from repro.nfil.instructions import (
     WORD_MASK,
 )
 from repro.nfil.program import Function, Module
-from repro.nfil.tracer import ExecutionTrace
+from repro.nfil.tracer import ExecutionTrace, ExternResult
 
 __all__ = [
     "ExternHandler",
@@ -100,28 +100,11 @@ class Memory:
 
     def read_bytes(self, addr: int, size: int) -> bytes:
         """Bulk-read raw bytes."""
-        return bytes(self._bytes.get(addr + offset, 0) for offset in range(size))
+        return bytes(map(self._bytes.get, range(addr, addr + size), itertools.repeat(0, size)))
 
     def clear(self) -> None:
         """Reset all memory to zero."""
         self._bytes.clear()
-
-
-@dataclass(frozen=True)
-class ExternResult:
-    """What an extern handler returns for one call.
-
-    ``accesses`` optionally carries the concrete addresses the structure
-    touched while serving the call (one per counted memory access, in
-    touch order) so cache-simulating hardware models can observe the
-    structure's locality; an empty tuple means counts only.
-    """
-
-    value: Optional[int] = None
-    instructions: int = 0
-    memory_accesses: int = 0
-    pcvs: Mapping[str, int] = field(default_factory=dict)
-    accesses: Tuple[int, ...] = ()
 
 
 #: Handlers may return a plain int (the value), None (void) or ExternResult.
@@ -451,13 +434,7 @@ class _SegmentWriter:
         packed_local, result = self.fresh(), self.fresh()
         self.emit(1, f"{packed_local} = {packed}")
         self.emit(1, f"{result} = h({name!r}, {packed_local}, m)")
-        self.emit(
-            1,
-            f"t.record_extern({name!r}, {packed_local}, {result}.value, "
-            f"instructions={result}.instructions, "
-            f"memory_accesses={result}.memory_accesses, "
-            f"pcvs={result}.pcvs, accesses={result}.accesses)",
-        )
+        self.emit(1, f"t.record_call({name!r}, {packed_local}, {result})")
         if instruction.dest is not None:
             dest = self.define(instruction.dest)
             self.emit(1, f"{dest} = {result}.value")

@@ -24,10 +24,18 @@ are what performance contracts must upper-bound.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-__all__ = ["AccessView", "ExecutionTrace", "ExternCall", "MemAccess"]
+__all__ = ["AccessView", "ExecutionTrace", "ExternCall", "ExternResult", "MemAccess"]
+
+#: The shared, read-only PCV observation of a call that observed none.
+_NO_PCVS: Mapping[str, int] = MappingProxyType({})
+
+#: Builds a record from a field tuple without a Python-level ``__new__``
+#: frame: one of each per extern call.
+_new_record = tuple.__new__
 
 #: The constant part of one recorded access: ``(size, kind, function)``.
 Site = Tuple[int, str, str]
@@ -47,8 +55,7 @@ class MemAccess:
         return self.kind == "store"
 
 
-@dataclass(frozen=True, slots=True)
-class ExternCall:
+class ExternCall(NamedTuple):
     """One call into the stateful library, with its instrumented cost.
 
     Attributes:
@@ -70,7 +77,26 @@ class ExternCall:
     result: Optional[int]
     instructions: int = 0
     memory_accesses: int = 0
-    pcvs: Mapping[str, int] = field(default_factory=dict)
+    pcvs: Mapping[str, int] = _NO_PCVS
+
+
+class ExternResult(NamedTuple):
+    """What an extern handler returns for one call.
+
+    ``accesses`` optionally carries the concrete addresses the structure
+    touched while serving the call (one per counted memory access, in
+    touch order) so cache-simulating hardware models can observe the
+    structure's locality; an empty tuple means counts only.  A subclass
+    may compute them on first read (see
+    :meth:`repro.structures.base.Structure.charge`): the trace reads
+    ``accesses`` only when it records addresses.
+    """
+
+    value: Optional[int] = None
+    instructions: int = 0
+    memory_accesses: int = 0
+    pcvs: Mapping[str, int] = _NO_PCVS
+    accesses: Tuple[int, ...] = ()
 
 
 class AccessView(Sequence):
@@ -115,6 +141,9 @@ class ExecutionTrace:
     walks) and :attr:`sites` (one constant ``(size, kind, function)``
     tuple per access).  :attr:`accesses` presents them as
     :class:`MemAccess` objects.
+
+    The extern totals and the per-PCV maxima are kept as each call lands,
+    so reading them never walks :attr:`extern_calls` again.
     """
 
     def __init__(self, *, record_accesses: bool = True) -> None:
@@ -124,6 +153,11 @@ class ExecutionTrace:
         self.addrs: List[int] = []
         self.sites: List[Site] = []
         self.extern_calls: List[ExternCall] = []
+        #: Running sums of the extern calls' instructions and accesses.
+        self.extern_instruction_total: int = 0
+        self.extern_access_total: int = 0
+        #: Largest observation of each PCV so far, in first-seen order.
+        self.pcv_max: Dict[str, int] = {}
         #: Whether :attr:`addrs`/:attr:`sites` list each access; counts are
         #: always kept.
         self.record_accesses = record_accesses
@@ -137,8 +171,8 @@ class ExecutionTrace:
     # ------------------------------------------------------------------ #
     # Recording.  The interpreter's decoded blocks add their instruction,
     # load and store counts to the fields above in bulk, append to
-    # :attr:`addrs` and :attr:`sites` in execution order, and call
-    # :meth:`record_extern`.
+    # :attr:`addrs` and :attr:`sites` in execution order, and hand each
+    # extern call's result to :meth:`record_call`.
     # ------------------------------------------------------------------ #
     def record_instruction(self) -> None:
         """Count one executed stateless NFIL instruction."""
@@ -154,6 +188,39 @@ class ExecutionTrace:
             self.addrs.append(addr)
             self.sites.append((size, kind, function))
 
+    def record_call(self, name: str, args: Tuple[int, ...], result: ExternResult) -> ExternCall:
+        """Record one extern call from its handler's ``ExternResult``.
+
+        ``result`` is unpacked positionally; its :attr:`ExternResult.accesses`
+        is read only when address recording is on.  The structure's touched
+        addresses then join :attr:`addrs` in execution order alongside
+        the stateless stream, so a cache simulator replays the packet's
+        full interleaved address trace.  Structure accesses are recorded
+        at the site ``(8, "load", name)`` — line granularity is what the
+        simulator keys on, so load/store and operand width do not affect
+        pricing.
+        """
+        value, instructions, memory_accesses, pcvs, _ = result
+        calls = self.extern_calls
+        call = _new_record(
+            ExternCall, (len(calls), name, args, value, instructions, memory_accesses, pcvs)
+        )
+        calls.append(call)
+        self.extern_instruction_total += instructions
+        self.extern_access_total += memory_accesses
+        if pcvs:
+            seen = self.pcv_max
+            for key, observed in pcvs.items():
+                old = seen.get(key)
+                if old is None or observed > old:
+                    seen[key] = observed if observed > 0 else 0
+        if self.record_accesses:
+            accesses = result.accesses
+            if accesses:
+                self.addrs.extend(accesses)
+                self.sites.extend([(8, "load", name)] * len(accesses))
+        return call
+
     def record_extern(
         self,
         name: str,
@@ -165,30 +232,12 @@ class ExecutionTrace:
         pcvs: Mapping[str, int] | None = None,
         accesses: Tuple[int, ...] = (),
     ) -> ExternCall:
-        """Record one extern call and its instrumented cost.
-
-        When address recording is on, the structure's touched addresses
-        (``accesses``) join :attr:`addrs` in execution order alongside
-        the stateless stream, so a cache simulator replays the packet's
-        full interleaved address trace.  Structure accesses are recorded
-        at the site ``(8, "load", name)`` — line granularity is what the
-        simulator keys on, so load/store and operand width do not affect
-        pricing.
-        """
-        call = ExternCall(
-            index=len(self.extern_calls),
-            name=name,
-            args=tuple(args),
-            result=result,
-            instructions=instructions,
-            memory_accesses=memory_accesses,
-            pcvs=dict(pcvs or {}),
+        """Record one extern call given field by field (see :meth:`record_call`)."""
+        return self.record_call(
+            name,
+            tuple(args),
+            ExternResult(result, instructions, memory_accesses, dict(pcvs or {}), accesses),
         )
-        self.extern_calls.append(call)
-        if accesses and self.record_accesses:
-            self.addrs.extend(accesses)
-            self.sites.extend([(8, "load", name)] * len(accesses))
-        return call
 
     # ------------------------------------------------------------------ #
     # Aggregation (consumed by tests and the contract cross-check)
@@ -200,37 +249,39 @@ class ExecutionTrace:
 
     def extern_instructions(self) -> int:
         """Instructions spent inside the stateful library."""
-        return sum(call.instructions for call in self.extern_calls)
+        return self.extern_instruction_total
 
     def extern_memory_accesses(self) -> int:
         """Memory accesses spent inside the stateful library."""
-        return sum(call.memory_accesses for call in self.extern_calls)
+        return self.extern_access_total
 
     def total_instructions(self) -> int:
         """Stateless + extern dynamic instruction count."""
-        return self.instructions + self.extern_instructions()
+        return self.instructions + self.extern_instruction_total
 
     def total_memory_accesses(self) -> int:
         """Stateless + extern memory access count."""
-        return self.memory_accesses + self.extern_memory_accesses()
+        return self.mem_reads + self.mem_writes + self.extern_access_total
 
     def pcv_bindings(self, *, merge: str = "max") -> Dict[str, int]:
         """Merge the per-call PCV observations into one binding per PCV.
+
+        Every PCV any call observed gets a key (also when only observed
+        as 0), in first-seen order.
 
         Args:
             merge: ``"max"`` (default) keeps the largest observation, which
                 is the sound choice when a contract charges a shared PCV at
                 every call site; ``"sum"`` adds observations up.
         """
-        if merge not in ("max", "sum"):
+        if merge == "max":
+            return dict(self.pcv_max)
+        if merge != "sum":
             raise ValueError(f"unknown merge mode {merge!r}")
         bindings: Dict[str, int] = {}
         for call in self.extern_calls:
             for name, value in call.pcvs.items():
-                if merge == "sum":
-                    bindings[name] = bindings.get(name, 0) + int(value)
-                else:
-                    bindings[name] = max(bindings.get(name, 0), int(value))
+                bindings[name] = bindings.get(name, 0) + int(value)
         return bindings
 
     def summary(self) -> str:

@@ -40,7 +40,7 @@ never alias each other's PCVs, contract columns or adversarial bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import re
 import zlib
@@ -121,6 +121,38 @@ _Charging = Tuple[
     Callable[[Mapping[str, int]], int],
     Callable[[Mapping[str, int]], int],
 ]
+
+
+#: Addresses one call touched: a sequence, or a zero-argument callable that
+#: builds it (run only when the trace records addresses).
+Touched = Union[Sequence[int], Callable[[], Sequence[int]]]
+
+
+def _normalised(touched: Sequence[int], count: int, pad: int) -> Tuple[int, ...]:
+    """``touched`` cut or padded with ``pad`` to exactly ``count`` addresses."""
+    accesses = tuple(touched[:count])
+    if len(accesses) < count:
+        accesses += (pad,) * (count - len(accesses))
+    return accesses
+
+
+class _Charged(ExternResult):
+    """A charge whose ``accesses`` field holds ``(touched thunk, pad)``.
+
+    Reading :attr:`accesses` runs the thunk and normalises its addresses,
+    so a trace that records no addresses never builds them.
+    """
+
+    __slots__ = ()
+
+    @property
+    def accesses(self) -> Tuple[int, ...]:  # type: ignore[override]
+        touched, pad = self[4]
+        return _normalised(touched(), self[2], pad)
+
+
+#: Builds a :class:`_Charged` from its field tuple (see the trace's records).
+_new_result = tuple.__new__
 
 
 def _compile_cost(op: OpSpec, metric: Metric) -> Callable[[Mapping[str, int]], int]:
@@ -221,13 +253,17 @@ class Structure(ExternHandler):
         """Model address of logical 8-byte slot ``slot`` in this instance's heap.
 
         Handlers use this to report *which* addresses an operation touched
-        (``charge(..., touched=[...])``): slots that model the same storage
+        (``charge(..., touched=lambda: [...])``): slots that model the same storage
         (a bucket head, a trie node, a counter cell) map to the same
         address every call, which is what gives the cache simulator real
         re-use to observe.  The layout is a model, not an allocator — only
         identity and adjacency of slots matter, not their absolute values.
         """
         return self.heap_base + 8 * slot
+
+    def header_touched(self) -> List[int]:
+        """The instance's header word alone: the touch of a header-only fast path."""
+        return [self.heap_base]
 
     def pcv_name(self, symbol: str) -> str:
         """Return the instance-qualified name of a local PCV symbol."""
@@ -295,7 +331,7 @@ class Structure(ExternHandler):
         value: Optional[int] = None,
         *,
         discount_instructions: int = 0,
-        touched: Sequence[int] = (),
+        touched: Touched = (),
         **pcvs: int,
     ) -> ExternResult:
         """Build the :class:`ExternResult` of one concrete call.
@@ -310,11 +346,16 @@ class Structure(ExternHandler):
 
         ``touched`` optionally names the addresses the call accessed (in
         touch order, usually built with :meth:`slot_addr`) for the cache
-        simulator.  The reported tuple is normalised to exactly the
-        formula's access count: extra entries are dropped, and the
-        remainder is padded with :attr:`heap_base` (the instance's header
-        word — a realistic stand-in for the bookkeeping accesses the cost
-        formula charges but the handler does not enumerate).
+        simulator.  Pass a zero-argument callable that builds them: the
+        trace calls it right after the handler returns, and only when it
+        records addresses, so counts-only replay never builds them.  The
+        callable must therefore depend only on what the handler left
+        behind.  The reported :attr:`ExternResult.accesses` tuple is
+        normalised to exactly the formula's access count: extra entries
+        are dropped, and the remainder is padded with :attr:`heap_base`
+        (the instance's header word — a realistic stand-in for the
+        bookkeeping accesses the cost formula charges but the handler
+        does not enumerate).
         """
         try:
             symbols, qualified, instructions_of, accesses_of = self._charging[method]
@@ -325,16 +366,13 @@ class Structure(ExternHandler):
         if discount_instructions < 0 or discount_instructions >= instructions:
             raise ValueError(f"bad instruction discount {discount_instructions}")
         memory_accesses = accesses_of(bindings)
-        accesses = tuple(touched[:memory_accesses])
-        if len(accesses) < memory_accesses:
-            accesses += (self.heap_base,) * (memory_accesses - len(accesses))
-        return ExternResult(
-            value,
-            instructions=instructions - discount_instructions,
-            memory_accesses=memory_accesses,
-            pcvs=dict(zip(qualified, bindings.values())),
-            accesses=accesses,
-        )
+        observed = dict(zip(qualified, bindings.values()))
+        instructions -= discount_instructions
+        if callable(touched):
+            fields = (value, instructions, memory_accesses, observed, (touched, self.heap_base))
+            return _new_result(_Charged, fields)
+        accesses = _normalised(touched, memory_accesses, self.heap_base)
+        return ExternResult(value, instructions, memory_accesses, observed, accesses)
 
 
 def _widen(a: PCV, b: PCV) -> PCV:

@@ -40,7 +40,8 @@ built on this structure.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.contract import Metric
 from repro.core.pcv import PCV
@@ -209,23 +210,34 @@ class ExpiringMap(Structure):
         if advanced == 0:
             # Idle fast path: the wheel cursor did not move.
             return self.charge(
-                "expire", w=0, e=0, discount_instructions=1, touched=[self.slot_addr(0)]
+                "expire", w=0, e=0, discount_instructions=1, touched=self.header_touched
             )
-        # The sweep reads each advanced wheel slot; the per-entry unlink
-        # work is covered by the charge() padding.  Wheel slots occupy this
-        # instance's own heap region (the chain data lives in the inner
-        # map's region), so a sweep and a lookup exercise disjoint lines.
-        touched = [
+        touched = partial(self._sweep_touched, previous, advanced)
+        return self.charge("expire", w=advanced, e=expired, touched=touched)
+
+    def _sweep_touched(self, previous: int, advanced: int) -> List[int]:
+        """The wheel slots a sweep from tick ``previous`` read.
+
+        The per-entry unlink work is covered by the charge() padding.
+        Wheel slots occupy this instance's own heap region (the chain data
+        lives in the inner map's region), so a sweep and a lookup exercise
+        disjoint lines.
+        """
+        return [
             self.slot_addr(tick % self.wheel_slots)
             for tick in range(previous + 1, previous + advanced + 1)
         ]
-        return self.charge("expire", w=advanced, e=expired, touched=touched)
+
+    def _put_touched(self, key: int, traversed: int) -> List[int]:
+        """The chain walk of a put, then the wheel slot of its new deadline."""
+        touched = self._map.chain_touched(key, traversed)
+        touched.append(self.slot_addr((self.now + self.timeout) % self.wheel_slots))
+        return touched
 
     def _op_put(self, args: Tuple[int, ...], memory: Memory) -> ExternResult:
         key, value = args
         status, traversed = self.insert(key, value)
-        touched = self._map.chain_touched(key, traversed)
-        touched.append(self.slot_addr((self.now + self.timeout) % self.wheel_slots))
+        touched = partial(self._put_touched, key, traversed)
         if status == "refreshed":
             # Refresh fast path: no link allocation.
             return self.charge(
@@ -236,7 +248,7 @@ class ExpiringMap(Structure):
     def _op_get(self, args: Tuple[int, ...], memory: Memory) -> ExternResult:
         (key,) = args
         value, traversed = self._map.lookup(key)
-        touched = self._map.chain_touched(key, traversed)
+        touched = partial(self._map.chain_touched, key, traversed)
         if value is None:
             # Miss fast path: no value copy.
             return self.charge(

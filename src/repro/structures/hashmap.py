@@ -33,6 +33,7 @@ NAT adversarial streams drive their tables' ``t`` to the declared bound.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.pcv import PCV
@@ -194,7 +195,7 @@ class ChainingHashMap(Structure):
     def _op_get(self, args: Tuple[int, ...], memory: Memory) -> ExternResult:
         (key,) = args
         value, traversed = self.lookup(key)
-        touched = self.chain_touched(key, traversed)
+        touched = partial(self.chain_touched, key, traversed)
         if value is None:
             # Miss fast path: no value copy.
             return self.charge(
@@ -205,7 +206,7 @@ class ChainingHashMap(Structure):
     def _op_put(self, args: Tuple[int, ...], memory: Memory) -> ExternResult:
         key, value = args
         status, traversed = self.insert(key, value)
-        touched = self.chain_touched(key, traversed)
+        touched = partial(self.chain_touched, key, traversed)
         if status == "refreshed":
             # Refresh fast path: no link allocation.
             return self.charge(
@@ -216,6 +217,5 @@ class ChainingHashMap(Structure):
     def _op_remove(self, args: Tuple[int, ...], memory: Memory) -> ExternResult:
         (key,) = args
         _, traversed = self.delete(key)
-        return self.charge(
-            "remove", t=traversed, touched=self.chain_touched(key, traversed)
-        )
+        touched = partial(self.chain_touched, key, traversed)
+        return self.charge("remove", t=traversed, touched=touched)

@@ -34,6 +34,7 @@ provably attained (not just declared).  A miss below an empty root costs
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.pcv import PCV
@@ -177,7 +178,7 @@ class LpmTrie(Structure):
         (address,) = args
         address &= (1 << ADDRESS_BITS) - 1
         value, visited = self.lookup(address)
-        touched = self._path_touched(address, visited)
+        touched = partial(self._path_touched, address, visited)
         if value is None:
             # Miss fast path: no next-hop copy.
             return self.charge(

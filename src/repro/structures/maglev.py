@@ -54,6 +54,7 @@ rather than under-charge.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.contract import Metric
@@ -302,11 +303,15 @@ class MaglevTable(Structure):
         """
         return [self.slot_addr(i % self.table_size) for i in range(probes)]
 
+    def _slot_touched(self, slot: int) -> list:
+        """One slot of the lookup array or of the membership words after it."""
+        return [self.slot_addr(slot)]
+
     def _op_lookup(self, args: Tuple[int, ...], memory: Memory) -> ExternResult:
         (flow,) = args
         backend = self.select(flow)
         slot = ((flow * 2654435761) ^ (flow >> 29)) % self.table_size
-        touched = [self.slot_addr(slot)]
+        touched = partial(self._slot_touched, slot)
         if backend is None:
             # Empty-table fast path: no backend id copy.
             return self.charge(
@@ -318,7 +323,7 @@ class MaglevTable(Structure):
         (backend,) = args
         backend %= BACKEND_SPACE
         # Membership word: one slot per backend id, after the lookup array.
-        touched = [self.slot_addr(self.table_size + backend % self.max_backends)]
+        touched = partial(self._slot_touched, self.table_size + backend % self.max_backends)
         return self.charge("active", 1 if self.is_active(backend) else 0, touched=touched)
 
     def _op_add(self, args: Tuple[int, ...], memory: Memory) -> ExternResult:
@@ -326,17 +331,13 @@ class MaglevTable(Structure):
         status, probes = self.add_backend(backend % BACKEND_SPACE)
         if status != "added":
             # Present/dropped fast path: no repopulation ran.
-            return self.charge(
-                "add", f=0, discount_instructions=1, touched=[self.slot_addr(0)]
-            )
-        return self.charge("add", f=probes, touched=self._fill_touched(probes))
+            return self.charge("add", f=0, discount_instructions=1, touched=self.header_touched)
+        return self.charge("add", f=probes, touched=partial(self._fill_touched, probes))
 
     def _op_remove(self, args: Tuple[int, ...], memory: Memory) -> ExternResult:
         (backend,) = args
         removed, probes = self.remove_backend(backend % BACKEND_SPACE)
         if not removed:
             # Unknown-backend fast path: no repopulation ran.
-            return self.charge(
-                "remove", f=0, discount_instructions=1, touched=[self.slot_addr(0)]
-            )
-        return self.charge("remove", f=probes, touched=self._fill_touched(probes))
+            return self.charge("remove", f=0, discount_instructions=1, touched=self.header_touched)
+        return self.charge("remove", f=probes, touched=partial(self._fill_touched, probes))

@@ -40,6 +40,7 @@ instruction cheaper than the formula.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, List, Sequence, Set, Tuple
 
 from repro.core.contract import Metric
@@ -145,11 +146,21 @@ class PortAllocator(Structure):
         if port == NOT_FOUND:
             # Exhausted fast path: no free-list pop (only the header read).
             return self.charge(
-                "alloc", NOT_FOUND, discount_instructions=1, touched=[self.slot_addr(0)]
+                "alloc", NOT_FOUND, discount_instructions=1, touched=self.header_touched
             )
-        # Free-list tail word, then the leased-set slot of the port.
-        touched = [self.slot_addr(1 + len(self._free)), self.slot_addr(self._lease_slot(port))]
-        return self.charge("alloc", port, touched=touched)
+        return self.charge("alloc", port, touched=partial(self._alloc_touched, port))
+
+    def _alloc_touched(self, port: int) -> List[int]:
+        """The free-list tail word, then the leased-set slot of the port."""
+        return [self.slot_addr(1 + len(self._free)), self.slot_addr(self._lease_slot(port))]
+
+    def _lease_touched(self, port: int) -> List[int]:
+        """The leased-set slot of the port."""
+        return [self.slot_addr(self._lease_slot(port))]
+
+    def _release_touched(self, port: int) -> List[int]:
+        """The leased-set slot of the port, then the free-list tail word."""
+        return self._lease_touched(port) + [self.slot_addr(len(self._free))]
 
     def _lease_slot(self, port: int) -> int:
         # Leased-set membership word: one slot per pool port, after the
@@ -163,7 +174,6 @@ class PortAllocator(Structure):
             return self.charge(
                 "release",
                 discount_instructions=1,
-                touched=[self.slot_addr(self._lease_slot(port))],
+                touched=partial(self._lease_touched, port),
             )
-        touched = [self.slot_addr(self._lease_slot(port)), self.slot_addr(len(self._free))]
-        return self.charge("release", touched=touched)
+        return self.charge("release", touched=partial(self._release_touched, port))

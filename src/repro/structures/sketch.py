@@ -52,6 +52,7 @@ min-fold early), each one instruction cheaper than the formula.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Sequence, Tuple
 
 from repro.core.contract import Metric
@@ -176,11 +177,13 @@ class CountMinSketch(Structure):
             for row in range(self.depth)
         ]
 
+    def _update_touched(self, key: int) -> list:
+        """An update stores each counter back: same cells, touched twice."""
+        return [addr for addr in self._counter_touched(key) for _ in range(2)]
+
     def _op_update(self, args: Tuple[int, ...], memory: Memory) -> ExternResult:
         (key,) = args
-        touched = self._counter_touched(key)
-        # The update stores each counter back: same cells, touched twice.
-        touched = [addr for addr in touched for _ in range(2)]
+        touched = partial(self._update_touched, key)
         if self.saturated(key):
             # Fully-saturated fast path: the increment short-circuits.
             return self.charge(
@@ -190,7 +193,7 @@ class CountMinSketch(Structure):
 
     def _op_query(self, args: Tuple[int, ...], memory: Memory) -> ExternResult:
         (key,) = args
-        touched = self._counter_touched(key)
+        touched = partial(self._counter_touched, key)
         estimate = self.estimate(key)
         if estimate == 0:
             # Never-seen fast path: a zero counter ends the min-fold early.

@@ -46,6 +46,7 @@ from repro.sym.expr import compile_conjunction
 from repro.traffic.generators import Stimulus
 
 __all__ = [
+    "COUNT_METRICS",
     "ClassSummary",
     "NFTarget",
     "PacketOutcome",
@@ -56,6 +57,14 @@ __all__ = [
 
 #: The percentiles the tail-latency contract columns cover.
 TAIL_PERCENTILES = (50, 95, 99)
+
+#: The metrics of a positional ``(instructions, memory accesses)`` count pair.
+COUNT_METRICS = (Metric.INSTRUCTIONS, Metric.MEMORY_ACCESSES)
+
+
+def _by_metric(counts: Optional[Sequence[int]]) -> Dict[Metric, int]:
+    """A positional count pair as a :class:`Metric`-keyed dict (``{}`` for None)."""
+    return {} if counts is None else dict(zip(COUNT_METRICS, counts))
 
 
 def _nearest_rank(ordered: Sequence[int], percentile: int) -> int:
@@ -98,14 +107,21 @@ def _unscaled(
 
 @dataclass(frozen=True)
 class PacketOutcome:
-    """Measured-vs-predicted record of one replayed stimulus."""
+    """Measured-vs-predicted record of one replayed stimulus.
+
+    Counts are kept as positional ``(instructions, memory accesses)``
+    pairs (:data:`COUNT_METRICS`); :attr:`measured` and :attr:`predicted`
+    present them keyed by :class:`Metric`.
+    """
 
     index: int
     note: str
     class_name: Optional[str]
     pcvs: Mapping[str, int]
-    measured: Mapping[Metric, int]
-    predicted: Mapping[Metric, int]
+    #: Measured ``(instructions, memory accesses)``.
+    counts: Tuple[int, int]
+    #: Predicted ``(instructions, memory accesses)``; None when unclassified.
+    predicted_counts: Optional[Tuple[int, int]]
     violations: Tuple[str, ...]
     #: model name -> (measured, predicted) in scaled-integer cycles — the
     #: exact per-packet samples the tail percentiles aggregate over.
@@ -118,9 +134,23 @@ class PacketOutcome:
         return not self.violations
 
     @property
+    def measured(self) -> Dict[Metric, int]:
+        return _by_metric(self.counts)
+
+    @property
+    def predicted(self) -> Dict[Metric, int]:
+        """The class's predicted counts; empty when unclassified."""
+        return _by_metric(self.predicted_counts)
+
+    @property
     def cycles(self) -> Dict[str, Tuple[Fraction, Fraction]]:
         """model name -> (measured cycles, predicted cycles), exact."""
         return _unscaled(self.cycles_scaled, self.cycle_scale)
+
+
+def _pairwise_max(best: Optional[Tuple[int, int]], counts: Tuple[int, int]) -> Tuple[int, int]:
+    """Element-wise maximum of two count pairs; ``best`` may be None."""
+    return counts if best is None else tuple(map(max, best, counts))
 
 
 @dataclass
@@ -131,8 +161,11 @@ class ClassSummary:
     #: The denominator of every scaled cycle value below.
     cycle_scale: int = 1
     packets: int = 0
-    max_measured: Dict[Metric, int] = field(default_factory=dict)
-    max_predicted: Dict[Metric, int] = field(default_factory=dict)
+    #: Largest measured ``(instructions, memory accesses)``; None before
+    #: the first packet.
+    max_counts: Optional[Tuple[int, int]] = None
+    #: Largest predicted counts; None while no classified packet landed.
+    max_predicted_counts: Optional[Tuple[int, int]] = None
     #: model name -> (max measured, max predicted) per-packet cycles (scaled).
     max_cycles_scaled: Dict[str, Tuple[int, int]] = field(default_factory=dict)
     violations: int = 0
@@ -148,17 +181,27 @@ class ClassSummary:
 
     def absorb(self, outcome: PacketOutcome) -> None:
         self.packets += 1
-        if not outcome.ok:
+        if outcome.violations:
             self.violations += 1
-        for metric, value in outcome.measured.items():
-            self.max_measured[metric] = max(self.max_measured.get(metric, 0), value)
-        for metric, value in outcome.predicted.items():
-            self.max_predicted[metric] = max(self.max_predicted.get(metric, 0), value)
+        self.max_counts = _pairwise_max(self.max_counts, outcome.counts)
+        if outcome.predicted_counts is not None:
+            self.max_predicted_counts = _pairwise_max(
+                self.max_predicted_counts, outcome.predicted_counts
+            )
         for model, (measured, predicted) in outcome.cycles_scaled.items():
             prev = self.max_cycles_scaled.get(model, (0, 0))
             self.max_cycles_scaled[model] = (max(prev[0], measured), max(prev[1], predicted))
             self.cycle_samples.setdefault(model, []).append(measured)
             self.predicted_samples.setdefault(model, []).append(predicted)
+
+    @property
+    def max_measured(self) -> Dict[Metric, int]:
+        return _by_metric(self.max_counts)
+
+    @property
+    def max_predicted(self) -> Dict[Metric, int]:
+        """Largest predicted counts; empty for ``<unclassified>``."""
+        return _by_metric(self.max_predicted_counts)
 
     @property
     def max_cycles(self) -> Dict[str, Tuple[Fraction, Fraction]]:
@@ -348,12 +391,13 @@ class Replayer:
                     )
             else:
                 self._classify_program.append((entry.input_class.matches, entry))
-        # Count predictions: ceil(expr) per (entry, metric), exact.
-        self._count_programs: Dict[int, List[Tuple[Metric, Callable[..., int]]]] = {
-            id(entry): [
-                (metric, entry.expr(metric).compile_ceil())
-                for metric in (Metric.INSTRUCTIONS, Metric.MEMORY_ACCESSES)
-            ]
+        # Count predictions: ceil(expr) per entry, instructions then
+        # memory accesses, exact.
+        self._count_programs: Dict[int, Tuple[Callable[..., int], Callable[..., int]]] = {
+            id(entry): (
+                entry.expr(Metric.INSTRUCTIONS).compile_ceil(),
+                entry.expr(Metric.MEMORY_ACCESSES).compile_ceil(),
+            )
             for entry in contract.entries
         }
         # Cycles: one global scale clears every model price and every
@@ -398,11 +442,8 @@ class Replayer:
                 break
         cycle_scale = self._cycle_scale
         violations: List[str] = []
-        measured: Dict[Metric, int] = {
-            Metric.INSTRUCTIONS: trace.total_instructions(),
-            Metric.MEMORY_ACCESSES: trace.total_memory_accesses(),
-        }
-        predicted: Dict[Metric, int] = {}
+        counts = (trace.total_instructions(), trace.total_memory_accesses())
+        predicted: Optional[Tuple[int, int]] = None
         cycles_scaled: Dict[str, Tuple[int, int]] = {}
         observed = trace.pcv_bindings()
         if entry is None:
@@ -412,12 +453,13 @@ class Replayer:
             class_name = entry.input_class.name
             bindings = dict(self._zero_pcvs)
             bindings.update(observed)
-            for metric, evaluate_count in self._count_programs[id(entry)]:
-                predicted[metric] = evaluate_count(bindings)
-                if measured[metric] > predicted[metric]:
+            count_instructions, count_accesses = self._count_programs[id(entry)]
+            predicted = (count_instructions(bindings), count_accesses(bindings))
+            for metric, value, bound in zip(COUNT_METRICS, counts, predicted):
+                if value > bound:
                     violations.append(
                         f"packet {index} ({class_name}): measured {metric} "
-                        f"{measured[metric]} exceeds predicted {predicted[metric]}"
+                        f"{value} exceeds predicted {bound}"
                     )
             for model_name, measure, predictors in self._cycle_programs:
                 measured_scaled = measure(trace)
@@ -434,8 +476,8 @@ class Replayer:
             note=stimulus.note,
             class_name=class_name,
             pcvs=observed,
-            measured=measured,
-            predicted=predicted,
+            counts=counts,
+            predicted_counts=predicted,
             violations=tuple(violations),
             cycles_scaled=cycles_scaled,
             cycle_scale=cycle_scale,

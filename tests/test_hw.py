@@ -7,7 +7,7 @@ import pytest
 from repro.core import ContractEntry, InputClass, Metric, PerfExpr, PerformanceContract
 from repro.core.pcv import PCV, PCVRegistry
 from repro.hw import ConservativeModel, HwSpec, RealisticModel
-from repro.nf import bridge
+from repro.nf import bridge, nat, router
 from repro.nf.bridge import bridge_harness, generate_bridge_contract
 from repro.nfil.tracer import ExecutionTrace
 from repro.structures import ChainingHashMap
@@ -170,3 +170,39 @@ def test_conservative_never_cheaper_than_realistic_on_a_trace():
     assert harness.structures  # the harness exposes its structures
     for outcome in result.outcomes:
         assert outcome.cycles["conservative"][0] >= outcome.cycles["realistic"][0]
+
+
+def _per_extern_fraction_price(model, trace, structures):
+    """The per-call Fraction pricing, kept here as an independent reference."""
+    owners = {
+        structure.extern_name(op.method): structure
+        for structure in structures
+        for op in structure.ops()
+    }
+    calls = trace.extern_calls
+    instructions = trace.instructions + sum(call.instructions for call in calls)
+    cycles = Fraction(instructions) * model.instruction_cycles()
+    cycles += Fraction(trace.mem_reads + trace.mem_writes) * model.stateless_access_cycles()
+    for call in calls:
+        owner = owners.get(call.name)
+        cycles += Fraction(call.memory_accesses) * model.structure_access_cycles(owner)
+    return cycles
+
+
+@pytest.mark.parametrize("spec", [nat.SPEC, router.SPEC], ids=lambda spec: spec.name)
+def test_measure_equals_the_per_extern_fraction_reference_on_replays(spec):
+    models = (ConservativeModel(SPEC), RealisticModel(SPEC))
+    priced = 0
+    for family in ("uniform", "adversarial"):
+        workload = spec.workloads[family](2019, 80)
+        structures = workload.harness.structures
+        for stimulus in workload.stimuli:
+            _, trace = workload.harness.run(stimulus)
+            for model in models:
+                reference = _per_extern_fraction_price(model, trace, structures)
+                assert model.measure(trace, structures=structures) == reference
+                scale = model.price_denominator(structures)
+                compiled = model.compile_measure(structures, scale=scale)
+                assert Fraction(compiled(trace), scale) == reference
+            priced += bool(trace.extern_calls)
+    assert priced > 50

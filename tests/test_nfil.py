@@ -589,3 +589,14 @@ def test_interpreter_runs_a_replaced_function_not_its_cached_decoding():
     assert interp.run("f", [])[0] == 1
     module.functions["f"] = _fn("f", (), {"entry": [Ret(Imm(2))]})
     assert interp.run("f", [])[0] == 2
+
+
+def test_read_bytes_equals_bytewise_loads_over_sparse_memory():
+    memory = Memory()
+    memory.write_bytes(0x100, bytes(range(1, 9)))
+    memory.store(0x10C, 0xA1B2, 2)
+    memory.store(0x120, 0xFF, 1)
+    for addr, size in [(0x100, 8), (0xFC, 40), (0x108, 6), (0x121, 3), (0x200, 5), (0x100, 0)]:
+        expected = bytes(memory.load(addr + i, 1) for i in range(size))
+        assert memory.read_bytes(addr, size) == expected
+    assert memory.read_bytes(0xFE, 4) == b"\x00\x00\x01\x02"
