@@ -166,15 +166,9 @@ def replay_env(
     """
     env: Dict[str, int] = dict(zip(_pkt_keys(sym_bytes), packet[:sym_bytes]))
     env.update(scalars)
-    call_keys = _CALL_KEYS
     for call in trace.extern_calls:
-        result = call.result
-        if result is not None:
-            try:
-                key = call_keys[call.name][call.index]
-            except (KeyError, IndexError):
-                key = _call_key(call.name, call.index)
-            env[key] = result
+        if call.result is not None:
+            env[_call_key(call.name, call.index)] = call.result
     return env
 
 

@@ -26,15 +26,15 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 __all__ = ["AccessView", "ExecutionTrace", "ExternCall", "ExternResult", "MemAccess"]
 
 #: The shared, read-only PCV observation of a call that observed none.
 _NO_PCVS: Mapping[str, int] = MappingProxyType({})
 
-#: Builds a record from a field tuple without a Python-level ``__new__``
-#: frame: one of each per extern call.
+#: Builds an :class:`ExternCall` from its field tuple without a
+#: Python-level ``__new__`` frame: one per extern call.
 _new_record = tuple.__new__
 
 #: The constant part of one recorded access: ``(size, kind, function)``.
@@ -80,23 +80,49 @@ class ExternCall(NamedTuple):
     pcvs: Mapping[str, int] = _NO_PCVS
 
 
-class ExternResult(NamedTuple):
+class ExternResult:
     """What an extern handler returns for one call.
 
     ``accesses`` optionally carries the concrete addresses the structure
     touched while serving the call (one per counted memory access, in
     touch order) so cache-simulating hardware models can observe the
-    structure's locality; an empty tuple means counts only.  A subclass
-    may compute them on first read (see
-    :meth:`repro.structures.base.Structure.charge`): the trace reads
-    ``accesses`` only when it records addresses.
+    structure's locality; an empty tuple means counts only.  It may also
+    be given as a zero-argument callable that builds them: the first read
+    of :attr:`accesses` runs it and keeps the tuple.  The trace reads
+    :attr:`accesses` only when it records addresses, right after the
+    handler returns, so counts-only replay never builds them (see
+    :meth:`repro.structures.base.Structure.charge`).
     """
 
-    value: Optional[int] = None
-    instructions: int = 0
-    memory_accesses: int = 0
-    pcvs: Mapping[str, int] = _NO_PCVS
-    accesses: Tuple[int, ...] = ()
+    __slots__ = ("value", "instructions", "memory_accesses", "pcvs", "_accesses")
+
+    def __init__(
+        self,
+        value: Optional[int] = None,
+        instructions: int = 0,
+        memory_accesses: int = 0,
+        pcvs: Mapping[str, int] = _NO_PCVS,
+        accesses: Union[Tuple[int, ...], Callable[[], Tuple[int, ...]]] = (),
+    ) -> None:
+        self.value = value
+        self.instructions = instructions
+        self.memory_accesses = memory_accesses
+        self.pcvs = pcvs
+        self._accesses = accesses
+
+    @property
+    def accesses(self) -> Tuple[int, ...]:
+        """The touched addresses, built on the first read and then kept."""
+        accesses = self._accesses
+        if callable(accesses):
+            accesses = self._accesses = tuple(accesses())
+        return accesses
+
+    def __repr__(self) -> str:
+        return (
+            f"ExternResult(value={self.value!r}, instructions={self.instructions!r}, "
+            f"memory_accesses={self.memory_accesses!r}, pcvs={self.pcvs!r})"
+        )
 
 
 class AccessView(Sequence):
@@ -191,19 +217,22 @@ class ExecutionTrace:
     def record_call(self, name: str, args: Tuple[int, ...], result: ExternResult) -> ExternCall:
         """Record one extern call from its handler's ``ExternResult``.
 
-        ``result`` is unpacked positionally; its :attr:`ExternResult.accesses`
-        is read only when address recording is on.  The structure's touched
-        addresses then join :attr:`addrs` in execution order alongside
-        the stateless stream, so a cache simulator replays the packet's
-        full interleaved address trace.  Structure accesses are recorded
+        ``result``'s :attr:`ExternResult.accesses` is read only when
+        address recording is on.  The structure's touched addresses then
+        join :attr:`addrs` in execution order alongside the stateless
+        stream, so a cache simulator replays the packet's full
+        interleaved address trace.  Structure accesses are recorded
         at the site ``(8, "load", name)`` — line granularity is what the
         simulator keys on, so load/store and operand width do not affect
         pricing.
         """
-        value, instructions, memory_accesses, pcvs, _ = result
+        instructions = result.instructions
+        memory_accesses = result.memory_accesses
+        pcvs = result.pcvs
         calls = self.extern_calls
         call = _new_record(
-            ExternCall, (len(calls), name, args, value, instructions, memory_accesses, pcvs)
+            ExternCall,
+            (len(calls), name, args, result.value, instructions, memory_accesses, pcvs),
         )
         calls.append(call)
         self.extern_instruction_total += instructions

@@ -40,7 +40,8 @@ never alias each other's PCVs, contract columns or adversarial bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import re
 import zlib
@@ -123,36 +124,10 @@ _Charging = Tuple[
 ]
 
 
-#: Addresses one call touched: a sequence, or a zero-argument callable that
-#: builds it (run only when the trace records addresses).
-Touched = Union[Sequence[int], Callable[[], Sequence[int]]]
-
-
-def _normalised(touched: Sequence[int], count: int, pad: int) -> Tuple[int, ...]:
-    """``touched`` cut or padded with ``pad`` to exactly ``count`` addresses."""
-    accesses = tuple(touched[:count])
-    if len(accesses) < count:
-        accesses += (pad,) * (count - len(accesses))
-    return accesses
-
-
-class _Charged(ExternResult):
-    """A charge whose ``accesses`` field holds ``(touched thunk, pad)``.
-
-    Reading :attr:`accesses` runs the thunk and normalises its addresses,
-    so a trace that records no addresses never builds them.
-    """
-
-    __slots__ = ()
-
-    @property
-    def accesses(self) -> Tuple[int, ...]:  # type: ignore[override]
-        touched, pad = self[4]
-        return _normalised(touched(), self[2], pad)
-
-
-#: Builds a :class:`_Charged` from its field tuple (see the trace's records).
-_new_result = tuple.__new__
+def _padded(touched: Callable[[], Sequence[int]], count: int, pad: int) -> Tuple[int, ...]:
+    """``touched()`` cut, or padded with ``pad``, to exactly ``count`` addresses."""
+    accesses = tuple(touched()[:count])
+    return accesses + (pad,) * (count - len(accesses))
 
 
 def _compile_cost(op: OpSpec, metric: Metric) -> Callable[[Mapping[str, int]], int]:
@@ -331,7 +306,7 @@ class Structure(ExternHandler):
         value: Optional[int] = None,
         *,
         discount_instructions: int = 0,
-        touched: Touched = (),
+        touched: Callable[[], Sequence[int]] = tuple,
         **pcvs: int,
     ) -> ExternResult:
         """Build the :class:`ExternResult` of one concrete call.
@@ -344,18 +319,20 @@ class Structure(ExternHandler):
         than the worst-case formula (never more), keeping the hand contract
         a genuine upper bound rather than a tautology.
 
-        ``touched`` optionally names the addresses the call accessed (in
-        touch order, usually built with :meth:`slot_addr`) for the cache
-        simulator.  Pass a zero-argument callable that builds them: the
-        trace calls it right after the handler returns, and only when it
-        records addresses, so counts-only replay never builds them.  The
-        callable must therefore depend only on what the handler left
-        behind.  The reported :attr:`ExternResult.accesses` tuple is
-        normalised to exactly the formula's access count: extra entries
-        are dropped, and the remainder is padded with :attr:`heap_base`
-        (the instance's header word — a realistic stand-in for the
-        bookkeeping accesses the cost formula charges but the handler
-        does not enumerate).
+        ``touched`` is a zero-argument callable that builds the addresses
+        the call accessed (in touch order, usually with :meth:`slot_addr`)
+        for the cache simulator; by default there are none.  The first
+        read of the result's :attr:`ExternResult.accesses` calls it and
+        keeps the tuple.  The trace reads it right after the handler
+        returns, and only when it records addresses, so counts-only replay
+        never builds them.  The callable must therefore depend only on
+        what the handler left behind, and any other reader must read
+        :attr:`ExternResult.accesses` before the structure's next call.
+        The tuple is normalised to exactly the formula's access count:
+        extra entries are dropped, and the remainder is padded with
+        :attr:`heap_base` (the instance's header word — a realistic
+        stand-in for the bookkeeping accesses the cost formula charges but
+        the handler does not enumerate).
         """
         try:
             symbols, qualified, instructions_of, accesses_of = self._charging[method]
@@ -368,10 +345,7 @@ class Structure(ExternHandler):
         memory_accesses = accesses_of(bindings)
         observed = dict(zip(qualified, bindings.values()))
         instructions -= discount_instructions
-        if callable(touched):
-            fields = (value, instructions, memory_accesses, observed, (touched, self.heap_base))
-            return _new_result(_Charged, fields)
-        accesses = _normalised(touched, memory_accesses, self.heap_base)
+        accesses = partial(_padded, touched, memory_accesses, self.heap_base)
         return ExternResult(value, instructions, memory_accesses, observed, accesses)
 
 

@@ -133,6 +133,24 @@ def test_recorded_stream_interleaves_each_calls_resolved_accesses(spec, monkeypa
     assert checked > 100
 
 
+def test_charged_accesses_are_built_on_first_read_and_kept():
+    structure = nat.SPEC.harness().structures[0]
+    method = structure.ops()[0].method
+    builds = []
+
+    def touched():
+        builds.append(len(builds))
+        return [structure.slot_addr(len(builds))]
+
+    result = structure.charge(method, touched=touched)
+    assert builds == [] and result.memory_accesses >= 1
+    first = result.accesses
+    padding = (structure.heap_base,) * (result.memory_accesses - 1)
+    assert first == (structure.slot_addr(1),) + padding
+    # Later reads return the same snapshot, whatever the structure does next.
+    assert result.accesses is first and builds == [0]
+
+
 def _partial_contract(contract, dropped):
     """``contract`` without the entry of class ``dropped``."""
     partial = PerformanceContract(contract.nf_name, registry=contract.registry)
